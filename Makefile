@@ -53,9 +53,16 @@ p99 alongside lin-reads (ceiling), and the stale-read invariant (ceiling, zero \
 slack). Deterministic virtual-time runs; regenerate with 'make bench'. Gated by \
 cmd/benchcheck.
 
+# The real-plane ledger (bench/, BENCHMARK.json): the four loopback-UDP
+# workloads exactly as the benchmark driver runs them, one JSON result
+# line each. Wall-clock numbers with a run-to-run spread — compare
+# against a parent checkout run the same way (bench/README.md), there is
+# no committed baseline to gate on.
+E2E_WORKLOADS := write_open_2k write_sat_128 readmix_open_12k durable_open_2k
+
 .PHONY: all build test race bench bench-check bench-dataplane bench-dataplane-check \
 	bench-overload bench-overload-check bench-readscale bench-readscale-check \
-	smoke-overload smoke-readscale
+	bench-e2e latency-smoke smoke-overload smoke-readscale
 
 all: build test
 
@@ -107,6 +114,14 @@ bench-readscale-check:
 	$(GO) test -run '^$$' -bench '$(READSCALE_PATTERN)' -benchtime=1x $(READSCALE_PKG) | tee bench-readscale.out
 	$(GO) run ./cmd/benchcheck -in bench-readscale.out -baseline BENCH_readscale.json
 	@rm -f bench-readscale.out
+
+bench-e2e:
+	@for w in $(E2E_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --seconds 21 --trace 0 | tail -n 1; \
+	done
+
+latency-smoke:
+	bash scripts/latency_smoke.sh
 
 smoke-overload:
 	bash scripts/overload_smoke.sh

@@ -260,6 +260,14 @@ type Engine struct {
 	announced       uint64
 	lastBcastCommit uint64
 	lastBcastLast   uint64
+	// sentCommit is, per follower, the commit index carried by the last
+	// AppendEntries that actually left for it (recorded in flush): the
+	// boundary pacer's "has this follower been told?" test.
+	sentCommit map[raft.NodeID]uint64
+	// aeClock is the counter charged for AppendEntries leaving during the
+	// current step: aeTick inside Tick, aeBoundary inside EndBatch, nil
+	// for message-driven sends (rejects, catch-up bursts).
+	aeClock, aeTick, aeBoundary *stats.Counter
 
 	// Apply pipeline.
 	applyBusy bool
@@ -273,6 +281,7 @@ type Engine struct {
 
 	// Follower-side recovery of missing request bodies.
 	missing      map[uint64]r2p2.RequestID // log index → request id
+	missingAt    map[r2p2.RequestID]uint64 // reverse of missing: where a late body lands
 	recoveryDue  uint64                    // tick when the next recovery burst may go
 	lastTermSeen uint64
 
@@ -349,21 +358,27 @@ type Engine struct {
 func NewEngine(cfg Config, transport Transport, runner AppRunner) *Engine {
 	cfg.defaults()
 	e := &Engine{
-		cfg:       cfg,
-		transport: transport,
-		runner:    runner,
-		unordered: NewUnorderedStore(cfg.UnorderedTimeout),
-		queues:    NewBoundedQueues(cfg.Peers, cfg.Bound),
-		counters:  stats.NewCounterSet(),
-		obs:       cfg.Obs,
-		tel:       cfg.Tel,
-		missing:   make(map[uint64]r2p2.RequestID),
-		heardTerm: make(map[raft.NodeID]uint64),
-		inLog:     make(map[r2p2.RequestID]bool),
+		cfg:        cfg,
+		transport:  transport,
+		runner:     runner,
+		unordered:  NewUnorderedStore(cfg.UnorderedTimeout),
+		queues:     NewBoundedQueues(cfg.Peers, cfg.Bound),
+		counters:   stats.NewCounterSet(),
+		obs:        cfg.Obs,
+		tel:        cfg.Tel,
+		missing:    make(map[uint64]r2p2.RequestID),
+		missingAt:  make(map[r2p2.RequestID]uint64),
+		sentCommit: make(map[raft.NodeID]uint64),
+		heardTerm:  make(map[raft.NodeID]uint64),
+		inLog:      make(map[r2p2.RequestID]bool),
 	}
 	if cfg.DedupWindow > 0 {
 		e.dedup = NewDedupCache(cfg.DedupWindow)
 	}
+	e.aeBoundary = e.counters.Describe("tx_ae_boundary",
+		"AppendEntries emitted at a run-to-completion loop boundary (EndBatch, ack-clocked): the replication clock of the UDP plane.")
+	e.aeTick = e.counters.Describe("tx_ae_tick",
+		"AppendEntries emitted from Tick (heartbeats, lease probes, the pacing fallback). The simulator's only clock; on the UDP plane a share growing against tx_ae_boundary means replication has fallen back to tick pacing.")
 	e.node = raft.NewNode(raft.Config{
 		ID: cfg.ID, Peers: cfg.Peers,
 		ElectionTicks: cfg.ElectionTicks, HeartbeatTicks: cfg.HeartbeatTicks,
@@ -427,7 +442,7 @@ func (e *Engine) Bootstrap(rs *raft.RecoveredState) error {
 		if e.dedup != nil && le.Kind == raft.KindReadWrite && e.dedup.Seen(le.ID) {
 			continue // duplicate of a snapshotted request; never executed
 		}
-		e.missing[i] = le.ID
+		e.noteMissing(i, le.ID)
 	}
 	e.lastTermSeen = e.node.Term()
 	return nil
@@ -464,9 +479,10 @@ func (e *Engine) Tick() {
 	// The tick is the single-threaded cadence driver for telemetry epoch
 	// rotation in both runtimes (DES loop / engine mutex).
 	e.tel.MaybeRotate()
+	e.aeClock = e.aeTick
 	e.node.Tick()
 	if e.IsLeader() {
-		e.pace()
+		e.pace(false)
 	} else {
 		e.reportApplied()
 	}
@@ -476,6 +492,28 @@ func (e *Engine) Tick() {
 	e.retryRecovery()
 	e.readTick()
 	e.finish()
+	e.aeClock = nil
+}
+
+// EndBatch is the run-to-completion loop boundary: the owner calls it
+// once per loop pass, after everything the pass read has been ingested
+// and before its egress is flushed. It runs the data-driven half of
+// pace — announce, then AppendEntries for what this pass made sendable —
+// so replicate → ack → commit → notify → apply → reply is clocked by
+// packet arrivals alone and the batch is whatever one pass ingested.
+// Timers (heartbeats, elections, recovery retry, GC) stay in Tick, whose
+// unconditional pace remains the loss fallback.
+//
+// The simulator never calls it: its 10µs tick already is its batch
+// boundary, so HandleMessage/Tick-driven runs are unaffected.
+func (e *Engine) EndBatch() {
+	if !e.IsLeader() {
+		return
+	}
+	e.aeClock = e.aeBoundary
+	e.pace(true)
+	e.finish()
+	e.aeClock = nil
 }
 
 // HandleMessage feeds one reassembled R2P2 message into the engine.
@@ -575,6 +613,8 @@ func (e *Engine) handleClientRequest(m *r2p2.Msg) {
 				e.obs.Stage(m.ID, obs.StageAppend)
 				e.finish()
 			}
+		} else {
+			e.promoteLateBody(m.ID)
 		}
 	}
 }
@@ -694,14 +734,14 @@ func (e *Engine) promoteBodies(m *raft.Message) {
 			continue // truncated or superseded meanwhile
 		}
 		if le.Kind == raft.KindNoop || le.Data != nil {
-			delete(e.missing, idx)
+			e.dropMissing(idx)
 			continue
 		}
 		if body, ok := e.unordered.Take(le.ID, le.BodyHash); ok {
 			le.Data = body
-			delete(e.missing, idx)
+			e.dropMissing(idx)
 		} else {
-			e.missing[idx] = le.ID
+			e.noteMissing(idx, le.ID)
 		}
 	}
 	if len(e.missing) > 0 {
@@ -751,6 +791,55 @@ func (e *Engine) reportApplied() {
 }
 
 // --- recovery ----------------------------------------------------------
+
+// noteMissing registers the bodyless entry at idx for recovery. The first
+// request for a freshly missing body waits for the next tick: when an
+// AppendEntries overtakes the client's own datagram the body is usually
+// one packet behind, and promoteLateBody fills it without a round trip.
+func (e *Engine) noteMissing(idx uint64, id r2p2.RequestID) {
+	if _, known := e.missing[idx]; !known && e.recoveryDue <= e.ticks {
+		e.recoveryDue = e.ticks + 1
+	}
+	e.missing[idx] = id
+	e.missingAt[id] = idx
+}
+
+// dropMissing forgets idx: its body arrived, or it no longer needs one.
+func (e *Engine) dropMissing(idx uint64) {
+	id, ok := e.missing[idx]
+	if !ok {
+		return
+	}
+	delete(e.missing, idx)
+	if e.missingAt[id] == idx {
+		delete(e.missingAt, id)
+	}
+}
+
+// promoteLateBody handles a client request that arrives after the
+// AppendEntries that ordered it: the follower already holds the bodyless
+// entry in missing, so the body goes straight from the unordered set into
+// the log and the apply pipeline resumes in this step instead of waiting
+// out a recovery round trip (or, when a recovery went out recently, a
+// full RecoveryRetryTicks).
+func (e *Engine) promoteLateBody(id r2p2.RequestID) {
+	idx, ok := e.missingAt[id]
+	if !ok {
+		return
+	}
+	le := e.node.Log().Entry(idx)
+	if le == nil || le.ID != id || le.Data != nil {
+		return // truncated or filled meanwhile; recovery state heals itself
+	}
+	body, ok := e.unordered.Take(id, le.BodyHash)
+	if !ok {
+		return // hash mismatch: leave it to recovery
+	}
+	le.Data = body
+	e.dropMissing(idx)
+	e.counters.Get("late_body_promoted").Inc()
+	e.finish()
+}
 
 // sendRecovery asks the leader for missing bodies; force bypasses pacing.
 func (e *Engine) sendRecovery(force bool) {
@@ -852,7 +941,7 @@ func (e *Engine) handleRecoveryResp(r *RecoveryResp) {
 			continue
 		}
 		le.Data = re.Data
-		delete(e.missing, re.Index)
+		e.dropMissing(re.Index)
 	}
 	e.finish()
 }
@@ -896,62 +985,104 @@ func (e *Engine) handleAggCommit(a *AggCommit) {
 
 // --- leader pacing -------------------------------------------------------
 
-// pace runs once per tick on the leader: advance the announcement window,
-// then broadcast batched AppendEntries (point-to-point or via the
-// aggregator).
-func (e *Engine) pace() {
+// pace advances the announcement window, then emits the AppendEntries
+// that are due (point-to-point or via the aggregator). It has two
+// callers and two clocks. From Tick it broadcasts to everyone whenever
+// anything is new since the last broadcast — the simulator's only pacer
+// and the UDP plane's loss fallback. From EndBatch (boundary) it is
+// ack-clocked per follower, see appendDue.
+func (e *Engine) pace(boundary bool) {
 	if e.cfg.Mode != ModeVanilla {
 		e.announce()
 	}
+	if e.groupMode {
+		e.paceGroup(boundary)
+		return
+	}
 	log := e.node.Log()
-	switch e.cfg.Mode {
-	case ModeVanilla:
-		if log.LastIndex() > e.lastBcastLast || log.Commit() > e.lastBcastCommit {
-			e.node.BroadcastAppend()
-			e.lastBcastLast = log.LastIndex()
-			e.lastBcastCommit = log.Commit()
+	target, commit := log.LastIndex(), log.Commit()
+	if e.cfg.Mode != ModeVanilla {
+		target = e.announced
+	}
+	switch {
+	case boundary:
+		if e.appendDue(target, commit) {
+			e.lastBcastLast, e.lastBcastCommit = target, commit
 		}
-	case ModeHovercraft:
-		if e.announced > e.lastBcastLast || log.Commit() > e.lastBcastCommit {
-			e.node.BroadcastAppend()
-			e.lastBcastLast = e.announced
-			e.lastBcastCommit = log.Commit()
-		}
-	case ModeHovercraftPP:
-		e.paceAggregated()
+	case target > e.lastBcastLast || commit > e.lastBcastCommit:
+		e.node.BroadcastAppend()
+		e.lastBcastLast, e.lastBcastCommit = target, commit
+	}
+	if e.cfg.Mode == ModeHovercraftPP && !boundary {
+		e.aggHandshake()
 	}
 }
 
-func (e *Engine) paceAggregated() {
-	log := e.node.Log()
-	if !e.groupMode {
-		// Fallback: plain HovercRaft broadcasting while we wait for the
-		// aggregator pong and this term's noop commit.
-		if e.announced > e.lastBcastLast || log.Commit() > e.lastBcastCommit {
-			e.node.BroadcastAppend()
-			e.lastBcastLast = e.announced
-			e.lastBcastCommit = log.Commit()
+// appendDue is the boundary pacer. A follower with something to hear —
+// announced entries at or past its Next, or a commit index no append to
+// it has carried — and nothing in flight gets one AppendEntries now. A
+// follower with an append in flight is left to its ack: the boundary
+// after the ack sends whatever accumulated over that round trip, commit
+// included. At low load every request therefore leaves in the pass that
+// ingested it, and at saturation the batch is one round trip's arrivals,
+// with no parameter. It reports whether every follower has now been sent
+// everything up to (target, commit); if not, the broadcast watermarks
+// stay behind and the next tick's pace covers the rest — a lost append
+// never acks, so only the timer can restart its follower.
+func (e *Engine) appendDue(target, commit uint64) bool {
+	told := true
+	for _, p := range e.cfg.Peers {
+		if p == e.cfg.ID {
+			continue
 		}
-		// Ping the aggregator at heartbeat cadence.
-		e.idleHB++
-		if e.aggPongTerm != e.node.Term() && e.idleHB >= e.cfg.HeartbeatTicks {
-			e.idleHB = 0
-			e.counters.Get("tx_agg_ping").Inc()
-			ping := EncodeAggPing(&AggPing{Term: e.node.Term(), From: e.cfg.ID})
-			e.transport.SendToAggregator(e.consensusBufs(r2p2.TypeRaftReq, ping))
+		pr := e.node.Progress(p)
+		if pr.Next > target && commit <= e.sentCommit[p] {
+			continue // nothing to say
 		}
-		if e.aggPongTerm == e.node.Term() && log.Commit() >= e.noopIndex {
-			e.groupMode = true
-			e.groupNext = log.Commit() + 1
-			e.idleHB = 0
+		if pr.Next-1 != pr.Match {
+			told = false // in flight: the ack clocks the next one
+			continue
 		}
-		return
+		e.node.SendAppend(p)
+		if pr.Next <= target {
+			told = false // capped by MaxEntriesPerAppend / MaxBatchBytes
+		}
 	}
-	// Group mode: one append to the aggregator covers all followers.
+	return told
+}
+
+// aggHandshake runs at tick cadence while HovercRaft++ still broadcasts
+// point-to-point: ping the aggregator every HeartbeatTicks, and switch to
+// group mode once it answered for this term and the term's noop
+// committed.
+func (e *Engine) aggHandshake() {
+	log := e.node.Log()
 	e.idleHB++
+	if e.aggPongTerm != e.node.Term() && e.idleHB >= e.cfg.HeartbeatTicks {
+		e.idleHB = 0
+		e.counters.Get("tx_agg_ping").Inc()
+		ping := EncodeAggPing(&AggPing{Term: e.node.Term(), From: e.cfg.ID})
+		e.transport.SendToAggregator(e.consensusBufs(r2p2.TypeRaftReq, ping))
+	}
+	if e.aggPongTerm == e.node.Term() && log.Commit() >= e.noopIndex {
+		e.groupMode = true
+		e.groupNext = log.Commit() + 1
+		e.idleHB = 0
+	}
+}
+
+// paceGroup is group mode: one append to the aggregator covers all
+// followers. The idle-heartbeat clock (idleHB) is a timer and advances
+// on ticks only; at a loop boundary only new entries or a moved commit
+// send.
+func (e *Engine) paceGroup(boundary bool) {
+	log := e.node.Log()
+	if !boundary {
+		e.idleHB++
+	}
 	hasNew := e.groupNext <= e.announced
 	commitMoved := log.Commit() > e.lastBcastCommit
-	heartbeatDue := e.idleHB >= e.cfg.HeartbeatTicks
+	heartbeatDue := !boundary && e.idleHB >= e.cfg.HeartbeatTicks
 	if !hasNew && !commitMoved && !heartbeatDue {
 		return
 	}
@@ -963,13 +1094,12 @@ func (e *Engine) paceAggregated() {
 		e.groupMode = false
 		return
 	}
-	if e.cfg.Mode != ModeVanilla {
-		m.Entries = e.stripBodies(m.Entries)
-	}
+	m.Entries = e.stripBodies(m.Entries)
 	e.idleHB = 0
 	e.lastBcastCommit = log.Commit()
 	e.groupNext += uint64(len(m.Entries))
 	e.counters.Get("tx_agg_ae").Inc()
+	e.countAEClock()
 	e.encScratch = AppendRaft(e.encScratch[:0], &m)
 	e.transport.SendToAggregator(e.consensusBufs(r2p2.TypeRaftReq, e.encScratch))
 }
@@ -1061,6 +1191,7 @@ func (e *Engine) becomeLeader() {
 	e.groupMode = false
 	e.lastBcastLast = 0
 	e.lastBcastCommit = 0
+	clear(e.sentCommit)
 	if e.cfg.Mode == ModeVanilla {
 		e.node.SetReplicationLimit(0)
 		return
@@ -1136,6 +1267,13 @@ func (e *Engine) maybeApply() {
 		if le == nil {
 			return // behind a snapshot restore; nothing to run
 		}
+		if next > e.announced && e.cfg.Mode != ModeVanilla && e.IsLeader() {
+			// Committed but not announced: only a quorum of one commits
+			// at Propose, before a replier is designated. Executing now
+			// would apply with Replier == None and answer nobody; the
+			// announce follows at the next pace (same loop pass).
+			return
+		}
 		if e.dedup != nil && le.Kind == raft.KindReadWrite {
 			if reply, _, hasReply, ok := e.dedup.Lookup(le.ID); ok {
 				// Duplicate of an already-executed write: a client
@@ -1145,7 +1283,7 @@ func (e *Engine) maybeApply() {
 				// and the entry's replier answers from the cache. This
 				// check precedes the body stall: a dup needs no body.
 				e.counters.Get("apply_dup_skip").Inc()
-				delete(e.missing, next)
+				e.dropMissing(next)
 				delete(e.inLog, le.ID)
 				e.unordered.Drop(le.ID)
 				if hasReply && le.Replier == e.cfg.ID {
@@ -1157,7 +1295,7 @@ func (e *Engine) maybeApply() {
 			}
 		}
 		if le.Kind != raft.KindNoop && le.Data == nil {
-			e.missing[next] = le.ID
+			e.noteMissing(next, le.ID)
 			e.sendRecovery(false)
 			return // stall until the body is recovered
 		}
@@ -1355,7 +1493,7 @@ func (e *Engine) maybeSnapshot() {
 			// Entries below the snapshot can never need recovery now.
 			for idx := range e.missing {
 				if idx <= si {
-					delete(e.missing, idx)
+					e.dropMissing(idx)
 				}
 			}
 			// Drop every parked request: some may already be inside
@@ -1406,6 +1544,8 @@ func (e *Engine) flush() {
 				continue
 			}
 			e.counters.Get("tx_ae").Inc()
+			e.countAEClock()
+			e.sentCommit[m.To] = m.Commit
 		}
 		typ := r2p2.TypeRaftReq
 		if m.IsResponse() {
@@ -1427,6 +1567,14 @@ func (e *Engine) flush() {
 		}
 		e.encScratch = AppendRaft(e.encScratch[:0], &m)
 		e.transport.SendToNode(m.To, e.consensusBufs(typ, e.encScratch))
+	}
+}
+
+// countAEClock charges one outgoing AppendEntries to the clock that
+// emitted it (see aeClock).
+func (e *Engine) countAEClock() {
+	if e.aeClock != nil {
+		e.aeClock.Inc()
 	}
 }
 

@@ -265,32 +265,34 @@ func (w *world) electLeader(id raft.NodeID) *Engine {
 	return lead
 }
 
+// ingestRequest hands one client request's datagrams to node nid, as if
+// its copy of the multicast just arrived.
+func (w *world) ingestRequest(nid raft.NodeID, dgs [][]byte) {
+	if w.down[nid] || w.dropClientTo[nid] {
+		return
+	}
+	for _, dg := range dgs {
+		m, err := w.reasm[nid].Ingest(dg, clientIP, 0)
+		if err != nil {
+			w.t.Fatal(err)
+		}
+		if m != nil {
+			w.engines[nid].HandleMessage(m)
+		}
+	}
+}
+
 // request injects one client request: multicast in Hover modes, direct to
 // the leader in Vanilla.
 func (w *world) request(policy r2p2.Policy, payload []byte) uint32 {
 	id, dgs := w.client.NewRequest(policy, payload)
-	deliverTo := func(nid raft.NodeID) {
-		if w.down[nid] || w.dropClientTo[nid] {
-			return
-		}
-		re := w.reasm[nid]
-		for _, dg := range dgs {
-			m, err := re.Ingest(dg, clientIP, 0)
-			if err != nil {
-				w.t.Fatal(err)
-			}
-			if m != nil {
-				w.engines[nid].HandleMessage(m)
-			}
-		}
-	}
 	if w.mode == ModeVanilla {
 		if lead := w.leader(); lead != nil {
-			deliverTo(lead.cfg.ID)
+			w.ingestRequest(lead.cfg.ID, dgs)
 		}
 	} else {
 		for nid := range w.engines {
-			deliverTo(nid)
+			w.ingestRequest(nid, dgs)
 		}
 	}
 	w.deliver()

@@ -25,6 +25,8 @@ const (
 	famApplied   = "hovercraft_raft_applied_index"
 	famFsyncs    = "hovercraft_wal_fsyncs_total"
 	famRxReq     = "hovercraft_engine_rx_req_total"
+	famAEBound   = "hovercraft_engine_tx_ae_boundary_total"
+	famAETick    = "hovercraft_engine_tx_ae_tick_total"
 	famWinCount  = "hovercraft_qdelay_window_count"
 	famWinP50    = "hovercraft_qdelay_window_p50_ns"
 	famWinP99    = "hovercraft_qdelay_window_p99_ns"
@@ -72,7 +74,10 @@ type AdmissionView struct {
 	Nacked       uint64  `json:"nacked"`
 }
 
-// GroupView is one raft group (shard) merged across nodes.
+// GroupView is one raft group (shard) merged across nodes. AEBoundary
+// and AETick split the group's AppendEntries by the clock that emitted
+// them: a tick count growing faster than the heartbeat rate means the
+// group has fallen back to tick-paced replication.
 type GroupView struct {
 	Shard       int            `json:"shard"`
 	Leader      string         `json:"leader"`         // scrape target of the leader, "" if none seen
@@ -82,6 +87,8 @@ type GroupView struct {
 	Applied     uint64         `json:"applied_index"`
 	FsyncPerReq float64        `json:"fsync_per_req"` // cluster fsyncs / requests, 0 without a WAL
 	Drops       uint64         `json:"drops"`         // every *_drop*_total counter, summed
+	AEBoundary  uint64         `json:"ae_boundary"`   // AppendEntries sent at loop boundaries (event-driven)
+	AETick      uint64         `json:"ae_tick"`       // AppendEntries sent from ticks (heartbeats, fallback)
 	Admission   *AdmissionView `json:"admission,omitempty"`
 	Stages      []StageView    `json:"stages"`
 }
@@ -204,6 +211,8 @@ type groupAcc struct {
 	fsyncs     float64
 	reqs       float64
 	drops      float64
+	aeBound    float64
+	aeTick     float64
 	adm        *AdmissionView
 	stages     map[string]*StageView
 }
@@ -283,6 +292,10 @@ func Merge(scrapes []Scrape) *ClusterView {
 				g.fsyncs += sm.Value
 			case famRxReq:
 				g.reqs += sm.Value
+			case famAEBound:
+				g.aeBound += sm.Value
+			case famAETick:
+				g.aeTick += sm.Value
 			case famAdmWindow:
 				a := g.admission()
 				a.Window = int(math.Max(float64(a.Window), sm.Value))
@@ -339,7 +352,7 @@ func Merge(scrapes []Scrape) *ClusterView {
 		gv := GroupView{
 			Shard: shard, Leader: g.leader, LeaderNode: g.leaderNode,
 			Term: g.term, Commit: g.commit, Applied: g.applied,
-			Drops: uint64(g.drops),
+			Drops: uint64(g.drops), AEBoundary: uint64(g.aeBound), AETick: uint64(g.aeTick),
 		}
 		if g.reqs > 0 && g.fsyncs > 0 {
 			gv.FsyncPerReq = math.Round(g.fsyncs/g.reqs*1e4) / 1e4
@@ -428,8 +441,8 @@ func (v *ClusterView) Render(w io.Writer) {
 		if leader == "" {
 			leader = "(no leader)"
 		}
-		fmt.Fprintf(w, "\ngroup %d  leader=%s  term=%d  commit=%d  applied=%d  fsync/req=%.4f  drops=%d\n",
-			g.Shard, leader, g.Term, g.Commit, g.Applied, g.FsyncPerReq, g.Drops)
+		fmt.Fprintf(w, "\ngroup %d  leader=%s  term=%d  commit=%d  applied=%d  fsync/req=%.4f  drops=%d  ae boundary/tick=%d/%d\n",
+			g.Shard, leader, g.Term, g.Commit, g.Applied, g.FsyncPerReq, g.Drops, g.AEBoundary, g.AETick)
 		if a := g.Admission; a != nil {
 			fmt.Fprintf(w, "  admission  window=%d inflight=%d admitted=%d nacked=%d hint=%s signal_p99=%s burn=%.2f\n",
 				a.Window, a.Inflight, a.Admitted, a.Nacked,

@@ -59,11 +59,12 @@ func promSplit(dotted string, dist bool) (fam, labels string) {
 // promDoc accumulates families before the sorted render.
 type promDoc struct {
 	typ  map[string]string   // family → counter|gauge|summary
+	help map[string]string   // family → # HELP text (described counters only)
 	rows map[string][]string // family → rendered sample lines
 }
 
 func newPromDoc() *promDoc {
-	return &promDoc{typ: map[string]string{}, rows: map[string][]string{}}
+	return &promDoc{typ: map[string]string{}, help: map[string]string{}, rows: map[string][]string{}}
 }
 
 func (d *promDoc) add(family, typ, labels, value string) {
@@ -111,6 +112,10 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	for prefix, cs := range ssrc {
 		for _, name := range cs.Names() {
 			counters[prefix+"."+name] = cs.Value(name)
+			if h := cs.Help(name); h != "" {
+				fam, _ := promSplit(prefix+"."+name, false)
+				doc.help[promFamilyPrefix+fam+"_total"] = h
+			}
 		}
 	}
 	for name, v := range counters {
@@ -165,6 +170,9 @@ func WritePrometheus(w io.Writer, r *Registry) error {
 	}
 	sort.Strings(fams)
 	for _, fam := range fams {
+		if h := doc.help[fam]; h != "" {
+			fmt.Fprintf(bw, "# HELP %s %s\n", fam, h)
+		}
 		// _sum/_count companions of a summary share its TYPE line.
 		if t := doc.typ[fam]; !(t == "counter" && (strings.HasSuffix(fam, "_sum") || strings.HasSuffix(fam, "_count")) && doc.typ[strings.TrimSuffix(strings.TrimSuffix(fam, "_sum"), "_count")] == "summary") {
 			fmt.Fprintf(bw, "# TYPE %s %s\n", fam, t)

@@ -28,6 +28,7 @@ func buildPromTestRegistry() *Registry {
 	tel.Register(s0)
 	cs := stats.NewCounterSet()
 	cs.Get("tx_drops").Add(3)
+	cs.Describe("tx_described", "A counter with help text.")
 	s1.CounterSet("net", cs)
 	return reg
 }
@@ -58,6 +59,10 @@ func TestPromExposition(t *testing.T) {
 		`hovercraft_qdelay_ns_count{shard="0",stage="ingress"} 1`,
 		// Lazily-populated CounterSet resolved at scrape time.
 		`hovercraft_net_tx_drops_total{shard="1"} 3`,
+		// Described counters are exported while zero, under a HELP line.
+		"# HELP hovercraft_net_tx_described_total A counter with help text.\n" +
+			"# TYPE hovercraft_net_tx_described_total counter\n" +
+			`hovercraft_net_tx_described_total{shard="1"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q\n--- got ---\n%s", want, out)

@@ -4,11 +4,22 @@ import "fmt"
 
 // Log is the in-memory replicated log with compaction support.
 //
-// Index bookkeeping: entries[0] has index snapIndex+1. Everything at or
-// below snapIndex has been compacted into a snapshot. commit and applied
-// track the usual Raft indices (applied <= commit <= lastIndex).
+// Index bookkeeping: the first retained entry has index snapIndex+1.
+// Everything at or below snapIndex has been compacted into a snapshot.
+// commit and applied track the usual Raft indices (applied <= commit <=
+// lastIndex).
+//
+// Storage is a list of fixed-size chunks, not one slice: appending never
+// copies the log (one growing slice reallocates and zeroes ~100MB at a
+// million entries, a pause of hundreds of milliseconds on the leader's
+// only thread — longer than the election timeout), compaction frees
+// whole chunks, and Entry pointers stay valid across appends. The entry
+// with index i sits at position i-FirstIndex+head, counted from the
+// start of chunks[0].
 type Log struct {
-	entries []Entry
+	chunks [][]Entry
+	head   int // leading entries of chunks[0] already compacted away
+	n      int // retained entries
 
 	snapIndex uint64 // last compacted index
 	snapTerm  uint64 // term of entry snapIndex
@@ -27,7 +38,51 @@ func NewLog() *Log { return &Log{} }
 func (l *Log) FirstIndex() uint64 { return l.snapIndex + 1 }
 
 // LastIndex returns the index of the newest entry (snapIndex if empty).
-func (l *Log) LastIndex() uint64 { return l.snapIndex + uint64(len(l.entries)) }
+func (l *Log) LastIndex() uint64 { return l.snapIndex + uint64(l.n) }
+
+const (
+	logChunkBits = 12
+	logChunkLen  = 1 << logChunkBits // entries per chunk (~300KB)
+)
+
+// at returns the slot of retained index i (FirstIndex <= i <= LastIndex).
+func (l *Log) at(i uint64) *Entry {
+	pos := int(i-l.FirstIndex()) + l.head
+	return &l.chunks[pos>>logChunkBits][pos&(logChunkLen-1)]
+}
+
+// push appends e at the tail.
+func (l *Log) push(e Entry) {
+	c := (l.head + l.n) >> logChunkBits
+	if c == len(l.chunks) {
+		l.chunks = append(l.chunks, make([]Entry, 0, logChunkLen))
+	}
+	l.chunks[c] = append(l.chunks[c], e)
+	l.n++
+}
+
+// truncate discards every entry after the first keep.
+func (l *Log) truncate(keep int) {
+	end := l.head + keep
+	full, rem := end>>logChunkBits, end&(logChunkLen-1)
+	if rem == 0 {
+		l.chunks = l.chunks[:full]
+	} else {
+		l.chunks = l.chunks[:full+1]
+		l.chunks[full] = l.chunks[full][:rem]
+	}
+	l.n = keep
+}
+
+// copyRange fills dst with the retained entries starting at index lo.
+func (l *Log) copyRange(dst []Entry, lo uint64) {
+	pos := int(lo-l.FirstIndex()) + l.head
+	for len(dst) > 0 {
+		c := l.chunks[pos>>logChunkBits][pos&(logChunkLen-1):]
+		k := copy(dst, c)
+		dst, pos = dst[k:], pos+k
+	}
+}
 
 // Commit returns the commit index.
 func (l *Log) Commit() uint64 { return l.commit }
@@ -53,7 +108,7 @@ func (l *Log) Term(i uint64) (uint64, bool) {
 	if i < l.FirstIndex() || i > l.LastIndex() {
 		return 0, false
 	}
-	return l.entries[i-l.FirstIndex()].Term, true
+	return l.at(i).Term, true
 }
 
 // LastTerm returns the term of the last entry (or snapshot).
@@ -69,7 +124,7 @@ func (l *Log) Entry(i uint64) *Entry {
 	if i < l.FirstIndex() || i > l.LastIndex() {
 		return nil
 	}
-	return &l.entries[i-l.FirstIndex()]
+	return l.at(i)
 }
 
 // Slice returns entries [lo, hi] inclusive, capped at maxEntries
@@ -89,19 +144,19 @@ func (l *Log) Slice(lo, hi uint64, maxEntries int) []Entry {
 		hi = lo + uint64(maxEntries) - 1
 	}
 	out := make([]Entry, hi-lo+1)
-	copy(out, l.entries[lo-l.FirstIndex():hi-l.FirstIndex()+1])
+	l.copyRange(out, lo)
 	return out
 }
 
-// Append adds entries at the tail, assigning indices; the caller sets
-// terms. Returns the last index.
 // View returns the entries in [lo, hi] as a window into the log's own
-// storage — no copy. maxEntries > 0 caps the count; maxBytes > 0 caps
-// the cumulative wire size (fixed per-entry metadata plus carried data),
-// always admitting at least one entry so progress never stalls. The view
-// is only valid until the log is next mutated: it is for messages that
-// are encoded and dropped within the same drain step (the send hot
-// path). Callers that retain entries (storage, tests) use Slice.
+// storage — no copy, except for the rare range that straddles a chunk
+// boundary, which is copied out. maxEntries > 0 caps the count;
+// maxBytes > 0 caps the cumulative wire size (fixed per-entry metadata
+// plus carried data), always admitting at least one entry so progress
+// never stalls. The view is only valid until the log is next mutated:
+// it is for messages that are encoded and dropped within the same drain
+// step (the send hot path). Callers that retain entries (storage,
+// tests) use Slice.
 func (l *Log) View(lo, hi uint64, maxEntries, maxBytes int) []Entry {
 	if lo < l.FirstIndex() {
 		lo = l.FirstIndex()
@@ -115,7 +170,14 @@ func (l *Log) View(lo, hi uint64, maxEntries, maxBytes int) []Entry {
 	if maxEntries > 0 && hi-lo+1 > uint64(maxEntries) {
 		hi = lo + uint64(maxEntries) - 1
 	}
-	w := l.entries[lo-l.FirstIndex() : hi-l.FirstIndex()+1]
+	var w []Entry
+	pos, count := int(lo-l.FirstIndex())+l.head, int(hi-lo+1)
+	if c, off := l.chunks[pos>>logChunkBits], pos&(logChunkLen-1); off+count <= len(c) {
+		w = c[off : off+count]
+	} else {
+		w = make([]Entry, count)
+		l.copyRange(w, lo)
+	}
 	if maxBytes > 0 {
 		bytes := 0
 		for i := range w {
@@ -129,10 +191,12 @@ func (l *Log) View(lo, hi uint64, maxEntries, maxBytes int) []Entry {
 	return w
 }
 
+// Append adds entries at the tail, assigning indices; the caller sets
+// terms. Returns the last index.
 func (l *Log) Append(entries ...Entry) uint64 {
 	for i := range entries {
 		entries[i].Index = l.LastIndex() + 1
-		l.entries = append(l.entries, entries[i])
+		l.push(entries[i])
 	}
 	return l.LastIndex()
 }
@@ -173,9 +237,9 @@ func (l *Log) TryAppend(prevIndex, prevTerm uint64, entries []Entry) (uint64, bo
 			if idx <= l.commit {
 				panic(fmt.Sprintf("raft: conflict at committed index %d", idx))
 			}
-			l.entries = l.entries[:idx-l.FirstIndex()]
+			l.truncate(int(idx - l.FirstIndex()))
 		}
-		l.entries = append(l.entries, e)
+		l.push(e)
 	}
 	last := prevIndex + uint64(len(entries))
 	if last > l.LastIndex() {
@@ -228,7 +292,16 @@ func (l *Log) Compact(i uint64, snapData []byte) error {
 	if !ok {
 		return fmt.Errorf("raft: compact %d not in log", i)
 	}
-	l.entries = append([]Entry(nil), l.entries[i-l.FirstIndex()+1:]...)
+	dropped := int(i - l.snapIndex)
+	l.head, l.n = l.head+dropped, l.n-dropped
+	if whole := l.head >> logChunkBits; whole > 0 {
+		// Shift down rather than reslice, so the freed chunks are not
+		// kept reachable through the backing array.
+		k := copy(l.chunks, l.chunks[whole:])
+		clear(l.chunks[k:])
+		l.chunks = l.chunks[:k]
+		l.head &= logChunkLen - 1
+	}
 	l.snapIndex = i
 	l.snapTerm = term
 	l.snapData = snapData
@@ -238,7 +311,7 @@ func (l *Log) Compact(i uint64, snapData []byte) error {
 // Restore replaces the entire log with a snapshot at (index, term) —
 // the receiver side of InstallSnapshot.
 func (l *Log) Restore(index, term uint64, snapData []byte) {
-	l.entries = nil
+	l.chunks, l.head, l.n = nil, 0, 0
 	l.snapIndex = index
 	l.snapTerm = term
 	l.snapData = snapData

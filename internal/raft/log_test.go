@@ -237,3 +237,106 @@ func TestLogInvariantsProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// sameMeta compares two bodyless entries field by field.
+func sameMeta(a, b *Entry) bool {
+	return a.Term == b.Term && a.Index == b.Index && a.Kind == b.Kind && a.BodyHash == b.BodyHash
+}
+
+// TestLogChunkedStorageMatchesFlatModel drives the chunked log and a
+// plain-slice model through the same appends, conflict truncations and
+// compactions, sized so every operation crosses chunk boundaries, and
+// compares every read path after each step.
+func TestLogChunkedStorageMatchesFlatModel(t *testing.T) {
+	l := NewLog()
+	var model []Entry // model[k] has index first+k
+	first := uint64(1)
+	term := uint64(1)
+
+	check := func(step string) {
+		t.Helper()
+		last := first + uint64(len(model)) - 1
+		if l.FirstIndex() != first || l.LastIndex() != last {
+			t.Fatalf("%s: range [%d,%d], want [%d,%d]", step, l.FirstIndex(), l.LastIndex(), first, last)
+		}
+		if l.Entry(first-1) != nil || l.Entry(last+1) != nil {
+			t.Fatalf("%s: Entry answered outside the retained range", step)
+		}
+		// Spot reads around every chunk boundary and at both ends.
+		for i := first; i <= last; i++ {
+			pos := int(i-first) + l.head
+			if off := pos & (logChunkLen - 1); off > 1 && off < logChunkLen-2 && i != first && i != last {
+				continue
+			}
+			if e := l.Entry(i); e == nil || !sameMeta(e, &model[i-first]) {
+				t.Fatalf("%s: Entry(%d) = %+v, want %+v", step, i, e, model[i-first])
+			}
+		}
+		// Windows that start before a boundary and end after it.
+		for lo := first; lo <= last; lo += logChunkLen/2 + 7 {
+			hi := lo + 300
+			if hi > last {
+				hi = last
+			}
+			want := model[lo-first : hi-first+1]
+			for name, got := range map[string][]Entry{
+				"View": l.View(lo, hi, 0, 0), "Slice": l.Slice(lo, hi, 0),
+			} {
+				if len(got) != len(want) {
+					t.Fatalf("%s: %s(%d,%d) has %d entries, want %d", step, name, lo, hi, len(got), len(want))
+				}
+				for k := range want {
+					if !sameMeta(&got[k], &want[k]) {
+						t.Fatalf("%s: %s(%d,%d)[%d] = %+v, want %+v", step, name, lo, hi, k, got[k], want[k])
+					}
+				}
+			}
+		}
+	}
+	appendN := func(n int) {
+		for i := 0; i < n; i++ {
+			idx := l.Append(Entry{Term: term, Kind: KindReadWrite, BodyHash: uint64(len(model))})
+			model = append(model, Entry{Term: term, Index: idx, Kind: KindReadWrite, BodyHash: uint64(len(model))})
+		}
+	}
+
+	appendN(2*logChunkLen + 100)
+	check("append across two boundaries")
+
+	// A new leader overwrites the tail from inside the second chunk.
+	term++
+	prev := first + uint64(logChunkLen+50) - 1
+	prevTerm, _ := l.Term(prev)
+	repl := []Entry{{Term: term, Index: prev + 1}, {Term: term, Index: prev + 2}}
+	if _, ok := l.TryAppend(prev, prevTerm, repl); !ok {
+		t.Fatal("TryAppend refused a matching prefix")
+	}
+	model = append(model[:prev-first+1], repl...)
+	check("conflict truncation across a boundary")
+
+	appendN(2 * logChunkLen)
+	check("append after truncation")
+
+	// Compact into the middle of the second chunk, then past two more.
+	for _, upto := range []uint64{first + uint64(logChunkLen+10), first + uint64(3*logChunkLen+5)} {
+		l.CommitTo(upto)
+		l.AppliedTo(upto)
+		if err := l.Compact(upto, nil); err != nil {
+			t.Fatal(err)
+		}
+		model, first = model[upto-first+1:], upto+1
+		check("compaction")
+		appendN(logChunkLen + 3)
+		check("append after compaction")
+	}
+
+	// Compact everything, then start over from an empty log.
+	l.CommitTo(l.LastIndex())
+	l.AppliedTo(l.LastIndex())
+	if err := l.Compact(l.LastIndex(), nil); err != nil {
+		t.Fatal(err)
+	}
+	first, model = l.LastIndex()+1, nil
+	appendN(logChunkLen + 1)
+	check("append after compacting everything")
+}

@@ -323,8 +323,11 @@ func (n *Node) Tick() {
 // --- proposing -------------------------------------------------------
 
 // Propose appends a client entry to the leader's log and returns its
-// index. The entry is replicated on the next broadcast (the engine paces
-// broadcasts for batching). Term and Index are assigned here.
+// index. Nothing is sent here: the engine decides when appends leave —
+// at its next batch boundary on the UDP plane (ack-clocked per follower
+// through SendAppend), at its next tick in the simulator (BroadcastAppend)
+// — so a batch forms from whatever accumulated, never from waiting. Term
+// and Index are assigned here.
 func (n *Node) Propose(e Entry) (uint64, error) {
 	if n.state != StateLeader {
 		return 0, ErrNotLeader
@@ -342,9 +345,12 @@ func (n *Node) appendLocal(e Entry) uint64 {
 	return idx
 }
 
-// BroadcastAppend sends AppendEntries to every follower now. The
-// HovercRaft engine calls this on its batching interval instead of
-// per-proposal, which is what keeps the leader's packet rate bounded.
+// BroadcastAppend sends AppendEntries to every follower now, whether or
+// not one is already in flight to it. The HovercRaft engine calls it from
+// its tick when something is new since the last broadcast: the only pacer
+// in the simulator, the loss fallback behind boundary pacing on the UDP
+// plane. Either way never per proposal, which is what keeps the leader's
+// packet rate bounded.
 func (n *Node) BroadcastAppend() {
 	if n.state == StateLeader {
 		n.broadcastAppend()
@@ -364,8 +370,8 @@ func (n *Node) broadcastAppend() {
 // back-to-back appends while the follower still lags and the in-flight
 // window (MaxInflightEntries) has room. Each append is bounded by
 // MaxEntriesPerAppend/MaxBatchBytes, so a long backlog goes out as a
-// train of bounded datagrams within one pacing tick instead of one
-// append per tick.
+// train of bounded datagrams in one go instead of one append per
+// pacing round.
 func (n *Node) sendAppendBurst(to NodeID) {
 	pr := n.prs[to]
 	if pr == nil {
@@ -384,8 +390,9 @@ func (n *Node) sendAppendBurst(to NodeID) {
 	}
 }
 
-// SendAppend sends one AppendEntries to peer id (used for point-to-point
-// catch-up in HovercRaft++ mode).
+// SendAppend sends one AppendEntries to peer id: the engine's
+// ack-clocked boundary pacer sends to each follower separately, when
+// nothing is in flight to it.
 func (n *Node) SendAppend(id NodeID) {
 	if n.state == StateLeader && id != n.cfg.ID {
 		n.sendAppend(id)
@@ -762,9 +769,9 @@ func (n *Node) handleAppendResp(m Message) {
 	n.maybeCommit()
 	// Push again only for bulk catch-up (the follower lags by a full
 	// append batch). Steady-state replication of freshly appended
-	// entries is paced by Tick/BroadcastAppend; pushing on every ack
-	// would turn each in-flight append into a self-perpetuating
-	// per-entry train and flood the leader's NIC.
+	// entries is paced by the engine (boundary or tick); pushing on
+	// every ack from here would turn each in-flight append into a
+	// self-perpetuating per-entry train and flood the leader's NIC.
 	if target := n.replicationTarget(); pr.Next <= target &&
 		target-pr.Next+1 >= uint64(n.cfg.MaxEntriesPerAppend) {
 		n.sendAppendBurst(m.From)

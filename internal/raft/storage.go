@@ -24,7 +24,7 @@ type Storage interface {
 // records in memory instead of persisting them synchronously; the
 // runtime then calls Flush at its durability barriers — before any
 // datagram that could acknowledge the staged records leaves the node —
-// so a whole pacing tick's appends are covered by one vectored write
+// so everything one loop pass staged is covered by one vectored write
 // and one fsync. MaybeFlush is the background latency bound: runtimes
 // call it from their timer loop so staged records never outlive the
 // configured flush delay even when no traffic forces a barrier.

@@ -29,7 +29,7 @@ import (
 // GroupCommit turns on durability group commit: records are staged in
 // memory, concatenated into one vectored write, and covered by a single
 // fsync at the next Flush (the runtime's durability barrier — see
-// GroupCommitter). Appends from one pacing tick then cost one syscall
+// GroupCommitter). Appends staged by one loop pass then cost one syscall
 // pair instead of one write+fsync each. Zero group-commit parameters
 // preserve the classical per-record write(+sync) path bit-for-bit.
 type FileStorage struct {

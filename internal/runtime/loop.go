@@ -37,8 +37,9 @@ type LoopOptions struct {
 	// wakeup (the UDP transport arms a past read deadline). Optional;
 	// without it pending work waits for the next tick or batch.
 	Kick func()
-	// Flush runs at the end of every Advance: the owning loop's egress
-	// coalescer and group-commit barrier. Optional.
+	// Flush runs at the end of every Advance — the loop's batch boundary:
+	// the owner's engine boundary hook (replication pacing), group-commit
+	// barrier and egress coalescer. Optional.
 	Flush func()
 	// Telemetry, when non-nil, records mailbox sojourn (obs.QIngress)
 	// for every datagram that crossed cores.

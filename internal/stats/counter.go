@@ -37,6 +37,8 @@ type CounterSet struct {
 	mu sync.Mutex // serializes registration; guards names
 	// names preserves registration order (Names sorts a copy).
 	names []string
+	// help holds the optional one-line descriptions set by Describe.
+	help map[string]string
 }
 
 // NewCounterSet returns an empty set.
@@ -67,6 +69,26 @@ func (cs *CounterSet) Get(name string) *Counter {
 	cs.m.Store(&next)
 	cs.names = append(cs.names, name)
 	return c
+}
+
+// Describe registers name (so it is exported even while zero) with a
+// one-line help text, rendered as the metric's # HELP line on /metrics.
+func (cs *CounterSet) Describe(name, help string) *Counter {
+	c := cs.Get(name)
+	cs.mu.Lock()
+	if cs.help == nil {
+		cs.help = make(map[string]string)
+	}
+	cs.help[name] = help
+	cs.mu.Unlock()
+	return c
+}
+
+// Help returns the text Describe registered for name ("" if none).
+func (cs *CounterSet) Help(name string) string {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	return cs.help[name]
 }
 
 // Value returns the current value of the named counter (0 if absent).

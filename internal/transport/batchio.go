@@ -10,7 +10,7 @@ package transport
 //
 //	listenBatch  — bind N sockets to one address (N>1 needs reuseport)
 //	batchReader  — per-socket reader filling a slab of reused views
-//	sender       — per-destination vectored send
+//	sender       — per-socket vectored send: queue(addr, pkt)…, flush()
 //
 // eRPC's observation (PAPERS.md) is that most of the datacenter-RPC gap
 // closes with packet batching and syscall amortization, no kernel bypass
@@ -46,6 +46,14 @@ func setSockBufs(conns []*net.UDPConn, bytes int) {
 		_ = c.SetReadBuffer(bytes)
 		_ = c.SetWriteBuffer(bytes)
 	}
+}
+
+// sendTo transmits pkts to one destination and flushes.
+func (s *sender) sendTo(addr *net.UDPAddr, pkts [][]byte) {
+	for _, p := range pkts {
+		s.queue(addr, p)
+	}
+	s.flush()
 }
 
 // cloneUDPAddr deep-copies a UDP address out of a batch reader's reused

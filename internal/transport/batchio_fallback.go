@@ -68,19 +68,23 @@ func (r *batchReader) read() (int, error) {
 
 func (r *batchReader) addr(i int) *net.UDPAddr { return &r.addrs[i] }
 
-// sender falls back to one WriteToUDP per datagram.
+// sender falls back to one WriteToUDP per datagram, written as queued.
 type sender struct {
+	conn *net.UDPConn
+
 	syscalls  uint64
 	datagrams uint64
 }
 
-func newSender(batch int) *sender { return &sender{} }
+func newSender(conn *net.UDPConn, _ syscall.RawConn, batch int) *sender {
+	return &sender{conn: conn}
+}
 
-func (s *sender) sendTo(conn *net.UDPConn, rc syscall.RawConn, addr *net.UDPAddr, pkts [][]byte) {
-	for _, p := range pkts {
-		if _, err := conn.WriteToUDP(p, addr); err == nil {
-			s.syscalls++
-			s.datagrams++
-		}
+func (s *sender) queue(addr *net.UDPAddr, pkt []byte) {
+	if _, err := s.conn.WriteToUDP(pkt, addr); err == nil {
+		s.syscalls++
+		s.datagrams++
 	}
 }
+
+func (s *sender) flush() {}

@@ -181,83 +181,102 @@ func (r *batchReader) read() (int, error) {
 // struct is reused on the next read; retainers must cloneUDPAddr it.
 func (r *batchReader) addr(i int) *net.UDPAddr { return &r.addrs[i] }
 
-// sender coalesces datagrams to one destination into sendmmsg calls.
-// Not safe for concurrent use; transports pool senders per flush.
+// sender coalesces datagrams into sendmmsg calls. Every mmsghdr slot
+// carries its own destination, so one syscall moves a whole loop pass's
+// egress — AppendEntries to each follower and replies to clients alike.
+// A sender belongs to one socket. Not safe for concurrent use;
+// transports pool senders per flush.
 type sender struct {
+	rc   syscall.RawConn
 	hdrs []mmsghdr
 	iovs []syscall.Iovec
-	sa   syscall.RawSockaddrInet4
+	sas  []syscall.RawSockaddrInet4
+	n    int // slots queued since the last flush
+
+	// One sendmmsg attempt over slots [off, n), as a closure built once:
+	// a literal inside flush would capture locals and allocate per call.
+	write func(fd uintptr) bool
+	off   int
+	wn    int
+	werr  syscall.Errno
 
 	syscalls  uint64
 	datagrams uint64
 }
 
-func newSender(batch int) *sender {
+func newSender(_ *net.UDPConn, rc syscall.RawConn, batch int) *sender {
 	if batch <= 0 {
 		batch = defaultSendBatch
 	}
-	s := &sender{hdrs: make([]mmsghdr, batch), iovs: make([]syscall.Iovec, batch)}
+	s := &sender{
+		rc:   rc,
+		hdrs: make([]mmsghdr, batch),
+		iovs: make([]syscall.Iovec, batch),
+		sas:  make([]syscall.RawSockaddrInet4, batch),
+	}
 	for i := range s.hdrs {
-		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.sa))
+		s.sas[i].Family = syscall.AF_INET
+		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.sas[i]))
 		s.hdrs[i].hdr.Namelen = uint32(syscall.SizeofSockaddrInet4)
 		s.hdrs[i].hdr.Iov = &s.iovs[i]
 		s.hdrs[i].hdr.Iovlen = 1
 	}
+	s.write = func(fd uintptr) bool {
+		for {
+			wn, _, e := syscall.Syscall6(uintptr(sysSendmmsg), fd,
+				uintptr(unsafe.Pointer(&s.hdrs[s.off])), uintptr(s.n-s.off), 0, 0, 0)
+			if e == syscall.EINTR {
+				continue
+			}
+			if e == syscall.EAGAIN {
+				return false // wait for writability
+			}
+			s.wn, s.werr = int(wn), e
+			return true
+		}
+	}
 	return s
 }
 
-// sendTo transmits pkts to addr over conn in ceil(len/batch) or fewer
-// syscalls. Best-effort like WriteToUDP: an error drops the remainder
-// (the protocol tolerates datagram loss).
-func (s *sender) sendTo(conn *net.UDPConn, rc syscall.RawConn, addr *net.UDPAddr, pkts [][]byte) {
+// queue stages one datagram for addr, flushing first when the vector is
+// full. pkt must stay valid until the next flush.
+func (s *sender) queue(addr *net.UDPAddr, pkt []byte) {
 	ip4 := addr.IP.To4()
 	if ip4 == nil {
 		return
 	}
-	s.sa.Family = syscall.AF_INET
-	s.sa.Port = htons(uint16(addr.Port))
-	copy(s.sa.Addr[:], ip4)
-	sent := 0
-	for sent < len(pkts) {
-		run := pkts[sent:]
-		if len(run) > len(s.hdrs) {
-			run = run[:len(s.hdrs)]
+	if s.n == len(s.hdrs) {
+		s.flush()
+	}
+	sa := &s.sas[s.n]
+	sa.Port = htons(uint16(addr.Port))
+	copy(sa.Addr[:], ip4)
+	base := pkt
+	if len(base) == 0 {
+		base = zeroPayload[:]
+	}
+	s.iovs[s.n].Base = &base[0]
+	s.iovs[s.n].SetLen(len(pkt))
+	s.n++
+}
+
+// flush transmits everything queued, normally in one syscall.
+// Best-effort like WriteToUDP: a datagram the kernel refuses is skipped
+// (the protocol tolerates loss) and the rest still go.
+func (s *sender) flush() {
+	for s.off = 0; s.off < s.n; {
+		if err := s.rc.Write(s.write); err != nil {
+			break // socket closed
 		}
-		for i, p := range run {
-			if len(p) == 0 {
-				p = zeroPayload[:]
-			}
-			s.iovs[i].Base = &p[0]
-			s.iovs[i].SetLen(len(pkts[sent+i]))
-		}
-		var n int
-		var errno syscall.Errno
-		err := rc.Write(func(fd uintptr) bool {
-			for {
-				wn, _, e := syscall.Syscall6(uintptr(sysSendmmsg), fd,
-					uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(run)), 0, 0, 0)
-				if e == syscall.EINTR {
-					continue
-				}
-				if e == syscall.EAGAIN {
-					return false // wait for writability
-				}
-				n, errno = int(wn), e
-				return true
-			}
-		})
-		runtime.KeepAlive(run)
-		runtime.KeepAlive(s)
-		if err != nil || errno != 0 {
-			return
-		}
-		if n <= 0 {
-			return
+		if s.werr != 0 || s.wn <= 0 {
+			s.off++ // the head datagram failed: drop it alone
+			continue
 		}
 		s.syscalls++
-		s.datagrams += uint64(n)
-		sent += n
+		s.datagrams += uint64(s.wn)
+		s.off += s.wn
 	}
+	s.n = 0
 }
 
 // zeroPayload backs empty datagrams so iovecs always have a valid base.

@@ -47,8 +47,8 @@ func TestBatchIORoundTrip(t *testing.T) {
 	for i := range pkts {
 		pkts[i] = []byte(fmt.Sprintf("dg-%03d", i))
 	}
-	sn := newSender(16)
-	sn.sendTo(src, rawSrc, addr, pkts)
+	sn := newSender(src, rawSrc, 16)
+	sn.sendTo(addr, pkts)
 	if batchIOSupported && sn.syscalls >= total {
 		t.Fatalf("sender used %d syscalls for %d datagrams; no amortization", sn.syscalls, total)
 	}

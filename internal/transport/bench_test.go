@@ -138,7 +138,7 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sn := newSender(batch)
+		sn := newSender(src, rawSrc, batch)
 		senders[i] = sn
 		sendWG.Add(1)
 		go func(q int) {
@@ -152,7 +152,7 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 				if n > batch {
 					n = batch
 				}
-				sn.sendTo(src, rawSrc, addr, pkts[:n])
+				sn.sendTo(addr, pkts[:n])
 				done += n
 				sent.Add(uint64(n))
 			}

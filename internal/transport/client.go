@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"net"
 	"sync"
-	"syscall"
 	"time"
 
 	"hovercraft/internal/r2p2"
@@ -30,10 +29,9 @@ type ClientOptions struct {
 type Client struct {
 	opts     ClientOptions
 	conn     *net.UDPConn
-	rawConn  syscall.RawConn
 	peers    []*net.UDPAddr
 	r2cl     *r2p2.Client
-	sendPool sync.Pool // *sender: request fan-out batches per peer
+	sendPool sync.Pool // *sender: one per concurrent request fan-out
 
 	mu      sync.Mutex
 	drv     *runtime.Driver
@@ -97,12 +95,11 @@ func Dial(peerAddrs []string, opts ...ClientOptions) (*Client, error) {
 	c := &Client{
 		opts:    o,
 		conn:    conn,
-		rawConn: rawConn,
 		waiting: make(map[uint32]*callState),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
 	}
-	c.sendPool.New = func() interface{} { return newSender(defaultSendBatch) }
+	c.sendPool.New = func() interface{} { return newSender(conn, rawConn, defaultSendBatch) }
 	c.drv = runtime.New((*clientHandler)(c), runtime.Options{
 		Now:          func() time.Duration { return time.Since(c.start) },
 		ReasmTimeout: o.Timeout,
@@ -253,12 +250,18 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 			backoff *= 2
 		}
 		hinted = 0
-		// Fan the request out to every node, one vectored send per peer
-		// (multi-fragment requests ride a single sendmmsg).
+		// Fan the request out to every node in one vectored send: the
+		// copies leave the client back to back, which is as close to the
+		// paper's switch multicast as unicast gets (and keeps the window
+		// in which the leader's AppendEntries can overtake a follower's
+		// copy of the body small).
 		sn := c.sendPool.Get().(*sender)
 		for _, peer := range c.peers {
-			sn.sendTo(c.conn, c.rawConn, peer, dgs)
+			for _, dg := range dgs {
+				sn.queue(peer, dg)
+			}
 		}
+		sn.flush()
 		c.sendPool.Put(sn)
 		select {
 		case res := <-st.ch:
@@ -317,7 +320,7 @@ func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 		}
 		peer := c.peers[(tgt+attempt)%len(c.peers)]
 		sn := c.sendPool.Get().(*sender)
-		sn.sendTo(c.conn, c.rawConn, peer, dgs)
+		sn.sendTo(peer, dgs)
 		c.sendPool.Put(sn)
 		select {
 		case res := <-st.ch:

@@ -24,7 +24,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"hovercraft/internal/admission"
@@ -69,9 +68,13 @@ type ServerConfig struct {
 	// Aggregator is the HovercRaft++ aggregator address (required for
 	// ModeHovercraftPP).
 	Aggregator string
-	// TickInterval defaults to 1ms — kernel UDP latencies are three
-	// orders of magnitude above the simulator's, so protocol timers
-	// scale accordingly.
+	// TickInterval is the protocol timer's period (default 1ms — kernel
+	// UDP latencies are three orders of magnitude above the simulator's,
+	// so timers scale accordingly). The tick drives timers only:
+	// heartbeats and lease probes, elections, recovery and read retries,
+	// GC, telemetry, admission, the published status. Replication is not
+	// among them — appends leave at loop boundaries, clocked by packet
+	// arrivals — so a write's latency does not depend on this value.
 	TickInterval   time.Duration
 	ElectionTicks  int
 	HeartbeatTicks int
@@ -166,19 +169,28 @@ type ServerConfig struct {
 // loop. The core selected by Affinity owns the engine: its loop drains
 // a recvmmsg batch, ingests it straight into the engine, drains
 // whatever the other cores handed over, ticks the protocol timer when
-// due, and flushes the egress it produced — all in one goroutine, so
-// no datagram ever crosses a mutex. Every other core's loop forwards
-// its batches into the owner through a bounded SPSC mailbox and kicks
-// the owner's read deadline so handoffs are drained at the next loop
+// due, tells the engine the pass is over (core.Engine.EndBatch) and
+// flushes the egress the pass produced — all in one goroutine, so no
+// datagram ever crosses a mutex. Every other core's loop forwards its
+// batches into the owner through a bounded SPSC mailbox and kicks the
+// owner's read deadline so handoffs are drained at the next loop
 // boundary rather than the next tick.
 //
+// Replication is event-driven: EndBatch is where the leader turns what
+// the pass ingested — new proposals, follower acks — into
+// AppendEntries, ack-clocked per follower. A write's replicate → ack →
+// commit → notify → apply → reply chain is therefore driven by packet
+// arrivals alone; the batch is whatever one pass found, so batching
+// costs nothing at low load and grows by itself under load. The tick
+// only drives timers and re-broadcasts after a loss.
+//
 // All egress leaves through the owning core: datagrams produced while
-// the engine steps are queued on the owner's coalescer and flushed
-// with sendmmsg — one flush drains a pipelined-AE batch in a handful
-// of syscalls. The flush is also the durability barrier: when the
-// storage group-commits (raft.GroupCommitter), the staged WAL batch is
-// written and fsynced once before any datagram that could acknowledge
-// it leaves the node.
+// the engine steps are queued on the owner's coalescer and one
+// sendmmsg per pass carries them to all their destinations. The flush
+// is also the durability barrier: when the storage group-commits
+// (raft.GroupCommitter), what the pass staged in the WAL is written
+// and fsynced once before any datagram that could acknowledge it
+// leaves the node.
 //
 // The control plane (IsLeader, Status, DebugVars, metrics) never
 // touches the engine either: the owner publishes a snapshot into
@@ -187,7 +199,6 @@ type Server struct {
 	cfg     ServerConfig
 	conn    *net.UDPConn // the owning core's socket; all egress goes out here
 	conns   []*net.UDPConn
-	rawConn syscall.RawConn // cached for vectored sends on conn
 	engine  *core.Engine
 	service app.Service
 	gc      raft.GroupCommitter // non-nil when Storage group-commits
@@ -252,8 +263,7 @@ type runJob struct {
 }
 
 // egressItem is one queued datagram: a pooled wire buffer bound for a
-// destination. The addr pointers are the stable entries of the peer,
-// aggregator, and client tables, so run-grouping can compare pointers.
+// destination (an entry of the peer, aggregator, or client table).
 type egressItem struct {
 	addr *net.UDPAddr
 	buf  *wire.Buf
@@ -311,7 +321,6 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		cfg:      cfg,
 		conn:     conns[aff],
 		conns:    conns,
-		rawConn:  rawConn,
 		service:  svc,
 		peers:    make(map[raft.NodeID]*net.UDPAddr),
 		clients:  make(map[clientKey]*net.UDPAddr),
@@ -356,7 +365,7 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 			s.tel.SetSLO(target, 0.99)
 		}
 	}
-	s.snd = newSender(cfg.SendBatch)
+	s.snd = newSender(s.conn, rawConn, cfg.SendBatch)
 	ids := make([]raft.NodeID, 0, len(cfg.Peers))
 	for id, pa := range cfg.Peers {
 		ua, err := net.ResolveUDPAddr("udp4", pa)
@@ -773,12 +782,15 @@ func (s *Server) appLoop() {
 	}
 }
 
-// flushOwned is the owner loop's coalesced send path and the
-// durability barrier: first the group-committing storage (if any)
-// makes every staged WAL record durable — no ack may leave before its
-// covering fsync — then consecutive same-destination runs go out via
-// sendmmsg on the owner's socket.
+// flushOwned ends one owner-loop pass. The engine's boundary hook runs
+// first — it is what turns the pass's arrivals (proposals, acks) into
+// AppendEntries — then the pass's whole egress leaves together. The
+// flush is the durability barrier: the group-committing storage (if
+// any) makes every staged WAL record durable before any datagram that
+// could acknowledge it, then one sendmmsg carries every destination's
+// datagrams out of the owner's socket.
 func (s *Server) flushOwned() {
+	s.engine.EndBatch()
 	items := s.eg
 	if len(items) == 0 {
 		return
@@ -798,19 +810,10 @@ func (s *Server) flushOwned() {
 	if s.tel.Active() {
 		eg0 = s.tel.Now()
 	}
-	var pkts [][]byte
-	for i := 0; i < len(items); {
-		j := i
-		for j < len(items) && items[j].addr == items[i].addr {
-			j++
-		}
-		pkts = pkts[:0]
-		for _, it := range items[i:j] {
-			pkts = append(pkts, it.buf.B)
-		}
-		s.snd.sendTo(s.conn, s.rawConn, items[i].addr, pkts)
-		i = j
+	for _, it := range items {
+		s.snd.queue(it.addr, it.buf.B)
 	}
+	s.snd.flush()
 	if s.tel.Active() {
 		s.tel.RecordN(obs.QEgress, s.tel.Now()-eg0, len(items))
 	}

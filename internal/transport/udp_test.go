@@ -48,6 +48,13 @@ func freePorts(t testing.TB, n int) []string {
 
 func startCluster(t testing.TB, mode core.Mode, n int) ([]*Server, map[uint32]string, func()) {
 	t.Helper()
+	return startClusterWith(t, mode, n, nil)
+}
+
+// startClusterWith is startCluster with a hook that adjusts every node's
+// config before it starts.
+func startClusterWith(t testing.TB, mode core.Mode, n int, tweak func(*ServerConfig)) ([]*Server, map[uint32]string, func()) {
+	t.Helper()
 	ports := freePorts(t, n+1)
 	peers := make(map[uint32]string, n)
 	for i := 0; i < n; i++ {
@@ -65,12 +72,16 @@ func startCluster(t testing.TB, mode core.Mode, n int) ([]*Server, map[uint32]st
 	}
 	var servers []*Server
 	for id := uint32(1); id <= uint32(n); id++ {
-		s, err := NewServer(ServerConfig{
+		cfg := ServerConfig{
 			ID: id, Peers: peers, Mode: mode, Aggregator: aggAddr,
 			TickInterval: 2 * time.Millisecond,
 			// Fast elections for tests.
 			ElectionTicks: 20, HeartbeatTicks: 4,
-		}, &counterService{})
+		}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		s, err := NewServer(cfg, &counterService{})
 		if err != nil {
 			t.Fatal(err)
 		}
