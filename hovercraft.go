@@ -45,6 +45,13 @@ import (
 // StateMachine is the application made fault-tolerant. Apply must be
 // deterministic: given the same sequence of non-read-only commands, every
 // replica must reach the same state. Apply is never called concurrently.
+//
+// Apply runs on the node's network loop, to completion, like a Redis
+// command: the loop that reads the sockets and steps Raft executes each
+// committed command inline and sends its reply in the same batch. Apply
+// must therefore not block or run long — while it runs the node neither
+// receives nor sends, and a slow Apply delays heartbeats (one longer than
+// the election timeout costs the node its leadership).
 type StateMachine interface {
 	// Apply executes one command and returns the reply payload.
 	// readOnly commands must not mutate state.

@@ -18,6 +18,12 @@ import (
 // Determinism requirement: for the same sequence of non-read-only
 // payloads, every replica must produce the same state (replies may be
 // consumed by different clients but must also be deterministic).
+//
+// Execution contract: calls are serialized per replica. On the UDP
+// plane Execute runs inline on the node's owner loop (transport.Server),
+// so it must be short and must not block — the loop neither ingests nor
+// sends while it runs. The simulator instead charges the CostModel's
+// time to a modelled application thread.
 type Service interface {
 	// Execute runs one request and returns the reply payload.
 	Execute(payload []byte, readOnly bool) []byte

@@ -72,10 +72,12 @@ type Transport interface {
 	SendFeedback(dgs []*wire.Buf)
 }
 
-// AppRunner executes state-machine operations on the application thread.
-// Run must eventually invoke done exactly once with the reply payload;
-// done must run in the engine's execution context (the runtimes guarantee
-// this). Calls are submitted one at a time per engine.
+// AppRunner executes state-machine operations. Run must invoke done
+// exactly once with the reply payload, in the engine's execution
+// context. done may run before Run returns — the UDP transport executes
+// inline on the owner loop — or later as an event of its own — the
+// simulator charges a modelled application thread; the engine handles
+// both without recursing. Calls are submitted one at a time per engine.
 type AppRunner interface {
 	Run(payload []byte, readOnly bool, done func(reply []byte))
 }
@@ -180,9 +182,9 @@ type Config struct {
 }
 
 // Snapshotter captures and restores application state for log
-// compaction. Calls happen only while the application thread is idle
-// (between operations), so implementations need no extra locking with
-// respect to Execute.
+// compaction. Calls happen in the engine's execution context between
+// operations, never while one executes, so implementations need no
+// extra locking with respect to Execute.
 type Snapshotter interface {
 	Snapshot() []byte
 	Restore(data []byte) error
@@ -231,9 +233,9 @@ func (c *Config) defaults() {
 // Single-owner contract: exactly one execution context may ever call
 // into an Engine — the simulator's event loop, or the owning core's
 // runtime.Loop in the UDP transport. There is no engine lock to take;
-// work originating elsewhere (datagrams read on another core, app
-// completions, a bootstrap Campaign) must be handed to the owner
-// through its mailbox or command queue and delivered from there.
+// work originating elsewhere (datagrams read on another core, a
+// bootstrap Campaign) must be handed to the owner through its mailbox
+// or command queue and delivered from there.
 // Anything the owner wants to expose to other goroutines (status,
 // admission gauges) is published into atomics, never read directly.
 type Engine struct {
@@ -269,8 +271,12 @@ type Engine struct {
 	// for message-driven sends (rejects, catch-up bursts).
 	aeClock, aeTick, aeBoundary *stats.Counter
 
-	// Apply pipeline.
+	// Apply pipeline: one operation executes at a time. inRun is set
+	// while runner.Run is on the stack: a completion that arrives before
+	// Run returns leaves the caller's loop to take the next operation
+	// (see resume).
 	applyBusy bool
+	inRun     bool
 	// Commit→execution-start timestamps (telemetry only): entries are
 	// stamped when the engine learns they committed and popped when
 	// their execution starts, measuring the QApplyQueue stage. FIFO in
@@ -1315,7 +1321,6 @@ func (e *Engine) maybeApply() {
 			e.dedup.Record(le.ID, nil, le.Replier)
 			delete(e.inLog, le.ID)
 		}
-		e.applyBusy = true
 		if e.tel.Active() {
 			if wait, ok := e.applyWait(next); ok {
 				e.tel.Record(obs.QApplyQueue, wait)
@@ -1328,7 +1333,7 @@ func (e *Engine) maybeApply() {
 		if traced {
 			e.obs.Stage(entry.ID, obs.StageApplyStart)
 		}
-		e.runner.Run(entry.Data, entry.Kind == raft.KindReadOnly, func(reply []byte) {
+		e.run(entry.Data, entry.Kind == raft.KindReadOnly, func(reply []byte) {
 			e.applyBusy = false
 			if traced {
 				e.obs.Stage(entry.ID, obs.StageApplyDone)
@@ -1350,11 +1355,33 @@ func (e *Engine) maybeApply() {
 			if entry.Replier == e.cfg.ID {
 				e.reply(entry.ID, reply)
 			}
-			e.maybeApply()
-			e.serveReads()
-			e.flush()
+			e.resume()
 		})
 	}
+}
+
+// run hands one operation to the runner.
+func (e *Engine) run(payload []byte, readOnly bool, done func(reply []byte)) {
+	e.applyBusy = true
+	e.inRun = true
+	e.runner.Run(payload, readOnly, done)
+	e.inRun = false
+}
+
+// resume continues the pipeline after a completion. Inside Run it does
+// nothing: the maybeApply or serveReads loop that called Run takes the
+// next operation itself, so a backlog of N synchronous completions runs
+// at constant stack depth and the step that committed them flushes its
+// raft outbox and feedback once (its finish). A completion arriving
+// later — the simulator's application thread — is an event of its own
+// and pushes the pipeline and flushes here.
+func (e *Engine) resume() {
+	if e.inRun {
+		return
+	}
+	e.maybeApply()
+	e.serveReads()
+	e.flush()
 }
 
 // commitStamp records when one log entry became committed (and thus
@@ -1508,8 +1535,8 @@ func (e *Engine) maybeSnapshot() {
 }
 
 // maybeCompact truncates the applied log prefix into a snapshot every
-// CompactEvery entries. Only runs while the application thread is idle
-// so Snapshot sees a quiescent state machine.
+// CompactEvery entries. Only runs while no operation is in flight so
+// Snapshot sees a quiescent state machine.
 func (e *Engine) maybeCompact() {
 	if e.cfg.Snapshotter == nil || e.cfg.CompactEvery == 0 || e.applyBusy {
 		return

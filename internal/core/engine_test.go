@@ -43,6 +43,7 @@ type world struct {
 	responses    map[uint32]busResponse // reqID → response
 	dupResponses int
 	feedbacks    int
+	fbFlushes    int // SendFeedback calls
 	nacks        int
 	totalSends   int
 }
@@ -115,6 +116,7 @@ func (b *busTransport) SendToClient(id r2p2.RequestID, dgs []*wire.Buf) {
 }
 func (b *busTransport) SendFeedback(dgs []*wire.Buf) {
 	// Count completed replies, not datagrams: feedback is coalesced.
+	b.w.fbFlushes++
 	for _, dg := range dgs {
 		b.w.feedbacks += 1 + r2p2.FeedbackRecordCount(dg.B[r2p2.HeaderSize:])
 		dg.Release()
@@ -146,8 +148,8 @@ func (b *busAggTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
 	}
 }
 
-// syncRunner executes the echo service synchronously (exercises the
-// engine's reentrant apply loop).
+// syncRunner executes the echo service synchronously: done runs before
+// Run returns, as on the UDP plane.
 type syncRunner struct{}
 
 func (syncRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
@@ -156,6 +158,12 @@ func (syncRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
 }
 
 func newWorld(t failer, mode Mode, n int) *world {
+	return newWorldWith(t, mode, n, nil)
+}
+
+// newWorldWith is newWorld with a hook that adjusts every engine's
+// config before it is built.
+func newWorldWith(t failer, mode Mode, n int, tweak func(*Config)) *world {
 	w := &world{
 		t: t, mode: mode,
 		engines:      make(map[raft.NodeID]*Engine),
@@ -171,11 +179,15 @@ func newWorld(t failer, mode Mode, n int) *world {
 		peers[i] = raft.NodeID(i + 1)
 	}
 	for _, id := range peers {
-		e := NewEngine(Config{
+		cfg := Config{
 			Mode: mode, ID: id, Peers: peers,
 			ElectionTicks: 20, HeartbeatTicks: 4, Bound: 16,
 			RecoveryRetryTicks: 2,
-		}, &busTransport{w: w, fromIP: nodeIP(id)}, syncRunner{})
+		}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		e := NewEngine(cfg, &busTransport{w: w, fromIP: nodeIP(id)}, syncRunner{})
 		w.engines[id] = e
 		w.reasm[id] = r2p2.NewReassembler(time.Second)
 	}

@@ -249,14 +249,11 @@ func (e *Engine) serveReads() {
 		if e.tel.Active() {
 			e.tel.Record(obs.QReadIndex, e.now-pr.enqNow)
 		}
-		e.applyBusy = true
 		id := pr.id
-		e.runner.Run(pr.payload, true, func(reply []byte) {
+		e.run(pr.payload, true, func(reply []byte) {
 			e.applyBusy = false
 			e.replyRead(id, reply)
-			e.maybeApply()
-			e.serveReads()
-			e.flush()
+			e.resume()
 		})
 	}
 }

@@ -16,8 +16,9 @@ import (
 )
 
 // Store is the data store. Not safe for concurrent use: the replication
-// layer serializes all Execute calls (one app thread per node), exactly
-// like Redis's single-threaded execution model.
+// layer serializes all Execute calls, and on the UDP plane runs them on
+// the node's network loop itself — exactly Redis's single-threaded
+// execution model.
 type Store struct {
 	strings map[string][]byte
 	hashes  map[string]map[string][]byte

@@ -53,9 +53,10 @@ type LoopOptions struct {
 // reassembler, the egress queue, and every other piece of data-plane
 // state — the single-owner replacement for the old global engine
 // mutex. Peer loops on other cores only ever hand work over through
-// bounded SPSC mailboxes (datagrams) or the command channel (app
-// completions, elections), both drained by the owner at its next loop
-// boundary via Advance.
+// bounded SPSC mailboxes (datagrams) or the command channel (a
+// bootstrap election), both drained by the owner at its next loop
+// boundary via Advance. State-machine operations never cross: the
+// owner executes them inline while it steps the engine.
 //
 // The wakeup protocol is a single atomic flag: a producer that makes
 // work pending swaps it to 1 and, on the 0→1 edge, kicks the owner out
@@ -159,9 +160,10 @@ func (l *Loop) Wake() {
 	}
 }
 
-// Submit queues fn to run in the owner's execution context (the app
-// thread delivering a completion, a bootstrap Campaign) and wakes the
-// owner. Returns false when the loop is shutting down.
+// Submit queues fn to run in the owner's execution context (a
+// bootstrap Campaign) and wakes the owner. It is a control-plane path —
+// a heap closure and a wake-up per call — and nothing per request uses
+// it. Returns false when the loop is shutting down.
 func (l *Loop) Submit(fn func()) bool {
 	select {
 	case l.cmds <- fn:
@@ -215,8 +217,8 @@ func (l *Loop) Advance() {
 
 // drainHandoff empties every peer mailbox (bounded by each ring's
 // capacity, so a fast producer cannot starve the owner's own socket)
-// and the command queue, in that order: datagrams first so completions
-// submitted for them observe a fully ingested engine.
+// and the command queue, in that order: datagrams first so a command
+// observes a fully ingested engine.
 func (l *Loop) drainHandoff() {
 	in := l.ctr.Get("handoff_in")
 	for _, mb := range l.inboxes {

@@ -182,7 +182,11 @@ type ServerConfig struct {
 // commit → notify → apply → reply chain is therefore driven by packet
 // arrivals alone; the batch is whatever one pass found, so batching
 // costs nothing at low load and grows by itself under load. The tick
-// only drives timers and re-broadcasts after a loss.
+// only drives timers and re-broadcasts after a loss. The service runs
+// on the same loop: every operation a pass commits executes there to
+// completion (serverRunner), with no second goroutine and no hand-off,
+// so the pass's replies join its egress batch. The service must
+// therefore be fast — a slow Execute delays heartbeats.
 //
 // All egress leaves through the owning core: datagrams produced while
 // the engine steps are queued on the owner's coalescer and one
@@ -204,8 +208,9 @@ type Server struct {
 	gc      raft.GroupCommitter // non-nil when Storage group-commits
 
 	// Owner-core state: everything below is reachable only from the
-	// owning core's loop (engine steps, handoff drains, ticks, command
-	// execution all run there). No lock — the Loop is the owner.
+	// owning core's loop (engine steps, state-machine operations,
+	// handoff drains, ticks, commands all run there). No lock — the
+	// Loop is the owner.
 	drv      *runtime.Driver
 	peers    map[raft.NodeID]*net.UDPAddr
 	agg      *net.UDPAddr
@@ -229,8 +234,6 @@ type Server struct {
 	ctr *stats.CounterSet
 	tel *obs.Telemetry // nil when cfg.DisableTelemetry
 
-	runq chan runJob
-
 	closed  chan struct{}
 	closeMu sync.Once
 	wg      sync.WaitGroup
@@ -253,13 +256,6 @@ type pubState struct {
 	admAdmitted atomic.Uint64
 	admNacked   atomic.Uint64
 	admLeaked   atomic.Uint64
-}
-
-type runJob struct {
-	payload  []byte
-	readOnly bool
-	done     func([]byte)
-	enq      time.Duration // telemetry clock at enqueue (0 when off)
 }
 
 // egressItem is one queued datagram: a pooled wire buffer bound for a
@@ -327,7 +323,6 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		start:    time.Now(),
 		affinity: aff,
 		ctr:      stats.NewCounterSet(),
-		runq:     make(chan runJob, 1024),
 		closed:   make(chan struct{}),
 	}
 	s.fromAddr.IP = s.fromIP[:]
@@ -465,7 +460,7 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	}
 	s.publish()
 
-	s.wg.Add(len(conns) + 1)
+	s.wg.Add(len(conns))
 	for i, c := range conns {
 		r, err := newBatchReader(c, cfg.RecvBatch)
 		if err != nil {
@@ -474,7 +469,6 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		}
 		go s.coreLoop(s.loops[i], r, c)
 	}
-	go s.appLoop()
 	return s, nil
 }
 
@@ -638,9 +632,6 @@ func (s *Server) Close() error {
 		for _, c := range s.conns {
 			c.Close()
 		}
-		// runq is deliberately never closed: serverRunner.Run may race
-		// a send against shutdown; appLoop exits via the closed signal
-		// and the buffered queue is garbage collected.
 	})
 	s.wg.Wait()
 	return nil
@@ -754,31 +745,6 @@ func (s *Server) publish() {
 		s.pub.admAdmitted.Store(s.admit.Admitted)
 		s.pub.admNacked.Store(s.admit.Nacked)
 		s.pub.admLeaked.Store(s.admit.Leaked)
-	}
-}
-
-// appLoop is the application thread: it executes state-machine operations
-// one at a time (off the owner core), then submits the completion back
-// into the owner loop, which delivers it at its next boundary.
-func (s *Server) appLoop() {
-	defer s.wg.Done()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case job := <-s.runq:
-			var t0 time.Duration
-			if s.tel.Active() {
-				t0 = s.tel.Now()
-				// Apply-queue delay: commit (enqueue) → execution start.
-				s.tel.Record(obs.QApplyQueue, t0-job.enq)
-			}
-			reply := s.service.Execute(job.payload, job.readOnly)
-			if s.tel.Active() {
-				s.tel.Record(obs.QService, s.tel.Now()-t0)
-			}
-			s.owner.Submit(func() { job.done(reply) })
-		}
 	}
 }
 
@@ -928,16 +894,17 @@ func (t *serverTransport) SendFeedback(dgs []*wire.Buf) {
 	t.enqueue(t.peers[lead], dgs)
 }
 
-// serverRunner adapts Server to core.AppRunner.
+// serverRunner adapts Server to core.AppRunner. Operations run to
+// completion on the owner loop, the engine's only execution context:
+// Execute is called inline and done before Run returns, so a pass that
+// commits a batch executes it, and its replies leave in that pass's
+// sendmmsg. The engine timestamps the apply queue (commit → start);
+// this records only the execution itself.
 type serverRunner Server
 
 func (r *serverRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
-	var enq time.Duration
-	if r.tel.Active() {
-		enq = r.tel.Now()
-	}
-	select {
-	case r.runq <- runJob{payload: payload, readOnly: readOnly, done: done, enq: enq}:
-	case <-r.closed:
-	}
+	t0 := r.tel.Now() // nil telemetry: no clock read, Record is a no-op
+	reply := r.service.Execute(payload, readOnly)
+	r.tel.Record(obs.QService, r.tel.Now()-t0)
+	done(reply)
 }
