@@ -16,17 +16,13 @@ BENCH_PATTERN := Hotpath|HeaderMarshal|Fragment|PooledFrag|IngestSingle|Reassemb
 BENCH_PKGS := . ./internal/r2p2 ./internal/wire ./internal/obs
 
 # The gated data-plane benchmarks: the batch-size × socket-count matrix
-# (dg/sendmmsg amortization), the group-commit durable-throughput run
-# (fsyncs/req), and the per-core engine-shard scaling matrix
-# (dgps_x4_over_x1: 4-core over 1-core aggregate throughput). The gated
-# units are ratios, which hold across machines even though dg/s does
-# not — but the scaling ratio saturates at the host's core count, so
-# regenerate the baseline on a >=4-CPU machine to arm the scaling gate.
-DATAPLANE_PATTERN := Dataplane|LoopbackDurableThroughput|LoopCores
+# (dg/sendmmsg amortization) and the group-commit durable-throughput run
+# (fsyncs/req). The gated units are ratios, which hold across machines
+# even though dg/s does not.
+DATAPLANE_PATTERN := Dataplane|LoopbackDurableThroughput
 DATAPLANE_PKG := ./internal/transport
-DATAPLANE_NOTE := Data-plane baseline: sendmmsg amortization, WAL group-commit \
-fsync ratios, and engine-shard core scaling; regenerate with 'make bench' on a \
-machine with >=4 CPUs. CI gates dg/sendmmsg and dgps_x4_over_x1 (floors) and \
+DATAPLANE_NOTE := Data-plane baseline: sendmmsg amortization and WAL group-commit \
+fsync ratios; regenerate with 'make bench'. CI gates dg/sendmmsg (floor) and \
 fsyncs/req (ceiling) against this file (cmd/benchcheck).
 
 # The gated overload-control benchmarks run in simulator virtual time,
@@ -62,7 +58,7 @@ E2E_WORKLOADS := write_open_2k write_sat_128 readmix_open_12k durable_open_2k
 
 .PHONY: all build test race bench bench-check bench-dataplane bench-dataplane-check \
 	bench-overload bench-overload-check bench-readscale bench-readscale-check \
-	bench-e2e latency-smoke smoke-overload smoke-readscale
+	bench-e2e latency-smoke smoke-overload smoke-readscale experiments
 
 all: build test
 
@@ -114,6 +110,14 @@ bench-readscale-check:
 	$(GO) test -run '^$$' -bench '$(READSCALE_PATTERN)' -benchtime=1x $(READSCALE_PKG) | tee bench-readscale.out
 	$(GO) run ./cmd/benchcheck -in bench-readscale.out -baseline BENCH_readscale.json
 	@rm -f bench-readscale.out
+
+# The committed full-scale output of every simulator experiment. Runs
+# are bit-deterministic for the default seed; the per-experiment wall
+# time is the one line that is not, so it is dropped — regenerating on
+# unchanged code leaves `git diff experiments_full.txt` empty.
+experiments:
+	$(GO) run ./cmd/hoverbench -experiment all | grep -v '^\[.* wall time\]$$' > experiments_full.tmp
+	mv experiments_full.tmp experiments_full.txt
 
 bench-e2e:
 	@for w in $(E2E_WORKLOADS); do \

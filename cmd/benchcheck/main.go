@@ -42,7 +42,7 @@ var (
 	maxUnits = []string{"allocs/op", "allocs/req", "fsyncs/req", "syscalls/op",
 		"admitted_p99_us", "nacked/req", "stale_reads", "write_p99_us"}
 	minUnits = []string{"dg/sendmmsg", "goodput/cap", "goodput_krps",
-		"dgps_x4_over_x1", "read_goodput_krps", "readscale_x"}
+		"read_goodput_krps", "readscale_x"}
 )
 
 // unitSlack overrides the -slack flag for units whose natural scale is
@@ -55,23 +55,18 @@ var (
 // under the 0.70-of-capacity acceptance floor, admitted_p99_us must
 // stay inside the 500µs SLO, and nacked/req at half load must stay
 // near zero.
-// dgps_x4_over_x1 is the engine-shard scaling ratio (4-core over
-// 1-core aggregate dg/s). It is a pure ratio, so the default absolute
-// slack of 1.0 would swallow a total scaling collapse; 0.3 tolerates
-// scheduler noise while catching the shards starting to contend.
 // The readscale units are deterministic virtual-time runs too:
 // stale_reads gates the linearizability invariant with zero slack (one
 // stale read is a safety bug, not noise), write_p99_us gets the same
 // headroom as admitted_p99_us, read_goodput_krps the same floor slack
-// as goodput_krps, and readscale_x — a pure capacity ratio like
-// dgps_x4_over_x1 — the same 0.3.
+// as goodput_krps, and readscale_x — a pure capacity ratio, which the
+// default absolute slack of 1.0 would let collapse unnoticed — 0.3.
 var unitSlack = map[string]float64{
 	"fsyncs/req":        0.25,
 	"goodput/cap":       0.05,
 	"goodput_krps":      2,
 	"admitted_p99_us":   25,
 	"nacked/req":        0.02,
-	"dgps_x4_over_x1":   0.3,
 	"stale_reads":       0,
 	"write_p99_us":      25,
 	"read_goodput_krps": 2,

@@ -36,7 +36,7 @@ func main() {
 		SampleEvery: 50 * time.Millisecond,
 		OnCluster: func(c *simcluster.Cluster) {
 			c.Sim.After(600*time.Millisecond, func() {
-				if lead := c.Leader(); lead != nil {
+				if lead := c.LeaderOf(0); lead != nil {
 					killedAt = c.Sim.Now()
 					lead.Crash()
 				}
@@ -67,7 +67,7 @@ func main() {
 
 	lead := "none"
 	for _, n := range res.Cluster.Nodes {
-		if !n.Crashed() && n.Engine.IsLeader() {
+		if !n.Crashed() && n.Engines[0].IsLeader() {
 			lead = fmt.Sprintf("node %d", n.ID)
 		}
 	}

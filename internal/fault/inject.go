@@ -7,9 +7,9 @@ import (
 	"hovercraft/internal/simnet"
 )
 
-// Target is the cluster surface the injector drives. simcluster.Cluster
-// and simcluster.MultiCluster provide adapters (their FaultTarget
-// methods); anything else built on simnet can implement it too.
+// Target is the cluster surface the injector drives.
+// simcluster.Cluster.FaultTarget adapts the simulated cluster, one Raft
+// group or sharded; anything else built on simnet can implement it too.
 type Target interface {
 	// NumNodes is the pool size; node indexes below are 0-based.
 	NumNodes() int

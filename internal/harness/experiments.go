@@ -122,11 +122,11 @@ func Table1(sc Scale) *Report {
 	}
 	for _, r := range rows {
 		res := RunPoint(r.sys, wl, rate, sc.runCfg())
-		lead := res.Cluster.Leader()
+		lead := res.Cluster.LeaderOf(0)
 		if lead == nil {
 			continue
 		}
-		c := lead.Engine.Counters()
+		c := lead.Engines[0].Counters()
 		reqs := float64(c.Value("rx_req"))
 		if reqs == 0 {
 			continue
@@ -371,7 +371,7 @@ func Fig12(sc Scale) *Report {
 		SampleEvery: 25 * time.Millisecond,
 		OnCluster: func(c *simcluster.Cluster) {
 			c.Sim.After(killAt, func() {
-				if lead := c.Leader(); lead != nil {
+				if lead := c.LeaderOf(0); lead != nil {
 					lead.Crash()
 				}
 			})

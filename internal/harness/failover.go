@@ -50,7 +50,7 @@ type failoverSpec struct{ wl *failoverWorkload }
 func (s failoverSpec) NewWorkload(bool) loadgen.Workload { return s.wl }
 
 // NewService implements WorkloadSpec.
-func (s failoverSpec) NewService() (app.Service, app.CostModel) {
+func (s failoverSpec) NewService(int) (app.Service, app.CostModel) {
 	svc := &auditService{applied: make(map[string]int)}
 	return svc, app.FixedCost{Service: svc, PerOp: time.Microsecond}
 }
@@ -87,7 +87,7 @@ func Failover(sc Scale) *Report {
 		OnComplete: func(p []byte) { acked[string(p)] = true },
 		OnCluster: func(c *simcluster.Cluster) {
 			c.Sim.After(killAt, func() {
-				if lead := c.Leader(); lead != nil {
+				if lead := c.LeaderOf(0); lead != nil {
 					lead.Crash()
 				}
 			})
@@ -161,7 +161,7 @@ func Failover(sc Scale) *Report {
 	}
 	ackedButLost, doubleApplied := 0, 0
 	for _, n := range live {
-		svc := n.Service.(*auditService)
+		svc := n.Services[0].(*auditService)
 		lost := 0
 		for op := range acked {
 			if svc.applied[op] == 0 {

@@ -49,7 +49,7 @@ func TestRunPointMeasuresSanely(t *testing.T) {
 	if p.P99 < p.P50 || p.P50 <= 0 {
 		t.Fatalf("latency summary inconsistent: %v", p)
 	}
-	if res.Cluster.Leader() == nil {
+	if res.Cluster.LeaderOf(0) == nil {
 		t.Fatal("no leader after run")
 	}
 	if res.Hist.Count() == 0 {

@@ -91,9 +91,10 @@ func RunOverloadPoint(r OverloadRun, rc RunConfig) OverloadResult {
 	// Controller state is most meaningful at the instant load stops: by
 	// run end the drained cluster has relaxed the retry-after hint and
 	// the signal reflects idle heartbeats, not the overload.
+	adm := cl.Groups[0].Admission
 	var admAtLoadEnd admission.Summary
-	if cl.Admission != nil {
-		cl.Sim.After(rc.Warmup+rc.Duration, func() { admAtLoadEnd = cl.Admission.Snapshot() })
+	if adm != nil {
+		cl.Sim.After(rc.Warmup+rc.Duration, func() { admAtLoadEnd = adm.Snapshot() })
 	}
 	cl.Run(rc.Warmup + rc.Duration + 40*time.Millisecond)
 
@@ -112,10 +113,10 @@ func RunOverloadPoint(r OverloadRun, rc RunConfig) OverloadResult {
 		Cluster: cl,
 		Swarm:   sw,
 	}
-	if cl.Admission != nil {
+	if adm != nil {
 		// Window/hint/signal from the load-end capture; the lifetime
 		// counters (increases/decreases/nacks) from the final snapshot.
-		final := cl.Admission.Snapshot()
+		final := adm.Snapshot()
 		admAtLoadEnd.Increases = final.Increases
 		admAtLoadEnd.Decreases = final.Decreases
 		out.Admission = admAtLoadEnd
@@ -259,7 +260,7 @@ func Overload(sc Scale) *Report {
 		Rate: 1.2 * capacity * 1000, Retries: 3,
 		OnCluster: func(c *simcluster.Cluster) {
 			c.Sim.After(cfg.Warmup+cfg.Duration/3, func() {
-				if lead := c.Leader(); lead != nil {
+				if lead := c.LeaderOf(0); lead != nil {
 					lead.Crash()
 				}
 			})
@@ -289,7 +290,8 @@ func overloadHotShard(sc Scale) *stats.Table {
 	serverHost := simnet.DefaultHostConfig()
 	serverHost.ProcBytesPerSec = 1_670_000_000
 	serverHost.ProcFilter = consensusPayload
-	cl := simcluster.NewMulti(simcluster.MultiOptions{
+	cl := simcluster.New(simcluster.Options{
+		Setup:  simcluster.SetupHovercraft,
 		Groups: 4, Nodes: 12, Replication: 3,
 		Seed: cfg.Seed, Host: serverHost,
 		DisableReplyLB:    true,
@@ -320,8 +322,8 @@ func overloadHotShard(sc Scale) *stats.Table {
 	// a relaxed window and an idle signal.
 	snaps := make(map[int]admission.Summary)
 	cl.Sim.After(cfg.Warmup+cfg.Duration, func() {
-		for _, sg := range cl.Groups {
-			snaps[int(sg.ID)] = sg.Ctrl.Snapshot()
+		for g, sg := range cl.Groups {
+			snaps[g] = sg.Admission.Snapshot()
 		}
 	})
 	cl.Run(cfg.Warmup + cfg.Duration + 40*time.Millisecond)
@@ -332,19 +334,19 @@ func overloadHotShard(sc Scale) *stats.Table {
 			"window", "ctl p99"},
 	}
 	stats := sw.ShardStats()
-	for _, sg := range cl.Groups {
+	for g := range cl.Groups {
 		var st *loadgen.ShardStat
 		for _, s := range stats {
-			if s.Group == int(sg.ID) {
+			if s.Group == g {
 				st = s
 			}
 		}
 		if st == nil {
 			continue
 		}
-		snap := snaps[int(sg.ID)]
+		snap := snaps[g]
 		secs := cfg.Duration.Seconds()
-		t.AddRow(fmt.Sprintf("g%d", sg.ID),
+		t.AddRow(fmt.Sprintf("g%d", g),
 			fmt.Sprintf("%.0f", float64(st.Sent)/secs),
 			fmt.Sprintf("%.0f", float64(st.Completed)/secs),
 			st.Latency.Summary().P99.String(),

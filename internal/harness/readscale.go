@@ -36,7 +36,7 @@ func HovercraftLease(n int) SystemSpec {
 func readCounter(cl *simcluster.Cluster, name string) uint64 {
 	var sum uint64
 	for _, n := range cl.Nodes {
-		sum += n.Engine.Counters().Value(name)
+		sum += n.Engines[0].Counters().Value(name)
 	}
 	return sum
 }

@@ -21,6 +21,7 @@ import (
 	"hovercraft/internal/loadgen"
 	"hovercraft/internal/obs"
 	"hovercraft/internal/r2p2"
+	"hovercraft/internal/shard"
 	"hovercraft/internal/simcluster"
 	"hovercraft/internal/simnet"
 	"hovercraft/internal/stats"
@@ -49,6 +50,12 @@ type SystemSpec struct {
 	// this long before another leader round (amortizes one round across
 	// many reads). Zero means every follower read fetches.
 	ReadStalenessBudget time.Duration
+	// Groups shards the keyspace over this many HovercRaft groups of
+	// Replication replicas placed over the Nodes pool, with shard-aware
+	// clients routing every request by key (the workload must be
+	// keyed). Zero is one unsharded group with no routing.
+	Groups      int
+	Replication int
 }
 
 // Unrep returns the unreplicated baseline spec.
@@ -77,10 +84,11 @@ func HovercraftPP(n int) SystemSpec {
 }
 
 // WorkloadSpec builds per-run workload state: the client-side generator,
-// the per-node service, and any preload dataset.
+// the per-replica service (one per node and group), and any preload
+// dataset.
 type WorkloadSpec interface {
 	NewWorkload(unreplicated bool) loadgen.Workload
-	NewService() (app.Service, app.CostModel)
+	NewService(group int) (app.Service, app.CostModel)
 	Preload() [][]byte
 	Describe() string
 }
@@ -102,7 +110,7 @@ func (s SyntheticSpec) NewWorkload(unrep bool) loadgen.Workload {
 }
 
 // NewService implements WorkloadSpec.
-func (s SyntheticSpec) NewService() (app.Service, app.CostModel) {
+func (s SyntheticSpec) NewService(int) (app.Service, app.CostModel) {
 	svc := &app.SynthService{}
 	return svc, svc
 }
@@ -129,7 +137,7 @@ func (y *YCSBESpec) NewWorkload(unrep bool) loadgen.Workload {
 }
 
 // NewService implements WorkloadSpec.
-func (y *YCSBESpec) NewService() (app.Service, app.CostModel) {
+func (y *YCSBESpec) NewService(int) (app.Service, app.CostModel) {
 	s := kvstore.New()
 	return s, s
 }
@@ -179,7 +187,7 @@ func (y *YCSBMixSpec) NewWorkload(unrep bool) loadgen.Workload {
 }
 
 // NewService implements WorkloadSpec.
-func (y *YCSBMixSpec) NewService() (app.Service, app.CostModel) {
+func (y *YCSBMixSpec) NewService(int) (app.Service, app.CostModel) {
 	s := kvstore.New()
 	return s, s
 }
@@ -294,7 +302,8 @@ func RunPoint(sys SystemSpec, wl WorkloadSpec, rate float64, rc RunConfig) RunRe
 	serverHost.ProcBytesPerSec = 1_670_000_000
 	serverHost.ProcFilter = consensusPayload
 	cl := simcluster.New(simcluster.Options{
-		Setup: sys.Setup, Nodes: sys.Nodes, Seed: rc.Seed, Host: serverHost,
+		Setup: sys.Setup, Groups: sys.Groups, Nodes: sys.Nodes, Replication: sys.Replication,
+		Seed: rc.Seed, Host: serverHost,
 		Bound: sys.Bound, Policy: sys.Policy,
 		DisableReplyLB:      sys.DisableReplyLB,
 		FlowLimit:           sys.FlowLimit,
@@ -316,6 +325,10 @@ func RunPoint(sys SystemSpec, wl WorkloadSpec, rate float64, rc RunConfig) RunRe
 	if sys.ReadLease {
 		readTargets = cl.NodeAddrs()
 	}
+	var router *shard.Router
+	if sys.Groups > 0 {
+		router = shard.NewRouter(cl.Map, nil)
+	}
 	var clients []*loadgen.Client
 	for i := 0; i < rc.Clients; i++ {
 		c := loadgen.NewClient(cl.Net, fmt.Sprintf("client%d", i), clientCfg, loadgen.ClientConfig{
@@ -328,6 +341,7 @@ func RunPoint(sys SystemSpec, wl WorkloadSpec, rate float64, rc RunConfig) RunRe
 			Workload:     workload,
 			Target:       cl.ServiceAddr,
 			ReadTargets:  readTargets,
+			Router:       router,
 			Port:         uint16(1000 + i),
 			SampleEvery: func() time.Duration {
 				return rc.SampleEvery

@@ -5,117 +5,35 @@ import (
 	"time"
 
 	"hovercraft/internal/loadgen"
-	"hovercraft/internal/shard"
 	"hovercraft/internal/simcluster"
-	"hovercraft/internal/simnet"
 	"hovercraft/internal/stats"
 )
 
-// ShardSpec configures one sharded (Multi-Raft) measurement: G groups of
-// Replication replicas placed over a fixed pool of nodes. Holding the
-// pool constant while G varies is the honest scaling question — sharding
-// over full-membership groups cannot scale (every node still executes
-// every write); sharding scales by turning idle pool nodes into
-// independent consensus groups, until G*Replication exceeds the pool and
-// placements overlap.
-type ShardSpec struct {
-	Groups      int
-	Pool        int
-	Replication int
-}
-
-func (s ShardSpec) label() string {
-	return fmt.Sprintf("G=%d (pool %d, R=%d)", s.Groups, s.Pool, s.Replication)
-}
-
-// ShardRunResult bundles a sharded measurement with its cluster state.
-type ShardRunResult struct {
-	Point   Point
-	Cluster *simcluster.MultiCluster
-	Clients []*loadgen.Client
-	Hist    *stats.Histogram
-	Shards  []*loadgen.ShardStat
-}
-
 // shardWorkload is the §7.1 microbenchmark with a routing keyspace large
 // enough that consistent hashing splits it evenly.
-func shardWorkload() *loadgen.Synthetic {
+type shardWorkload struct{ SyntheticSpec }
+
+// NewWorkload implements WorkloadSpec.
+func (w shardWorkload) NewWorkload(bool) loadgen.Workload {
 	return &loadgen.Synthetic{
-		ServiceTime: loadgen.Fixed(time.Microsecond),
-		ReqSize:     24, ReplySize: 8,
+		ServiceTime: w.Service, ReqSize: w.ReqSize, ReplySize: w.ReplySize,
 		Keys: 1 << 16,
 	}
 }
 
-// RunShardPoint builds a sharded cluster, offers rate RPS spread over
-// shard-aware clients, and reports the merged measurement.
-func RunShardPoint(spec ShardSpec, rate float64, rc RunConfig) ShardRunResult {
-	rc.defaults()
-	serverHost := simnet.DefaultHostConfig()
-	serverHost.ProcBytesPerSec = 1_670_000_000
-	serverHost.ProcFilter = consensusPayload
-	cl := simcluster.NewMulti(simcluster.MultiOptions{
-		Groups: spec.Groups, Nodes: spec.Pool, Replication: spec.Replication,
-		Seed: rc.Seed, Host: serverHost,
+// shardSystem is G HovercRaft groups of replication replicas placed over
+// a fixed pool of nodes. Holding the pool constant while G varies is the
+// honest scaling question — sharding over full-membership groups cannot
+// scale (every node still executes every write); sharding scales by
+// turning idle pool nodes into independent consensus groups, until
+// G*replication exceeds the pool and placements overlap.
+func shardSystem(groups, pool, replication int) SystemSpec {
+	return SystemSpec{
+		Label: fmt.Sprintf("G=%d (pool %d, R=%d)", groups, pool, replication),
+		Setup: simcluster.SetupHovercraft, Nodes: pool,
+		Groups: groups, Replication: replication,
 		DisableReplyLB: true, // isolate protocol overheads, as in §7.1
-		Obs:            rc.Obs,
-	})
-	router := shard.NewRouter(cl.Map, nil)
-	var clients []*loadgen.Client
-	for i := 0; i < rc.Clients; i++ {
-		c := loadgen.NewClient(cl.Net, fmt.Sprintf("client%d", i), simnet.DefaultHostConfig(),
-			loadgen.ClientConfig{
-				Rate:   rate / float64(rc.Clients),
-				Warmup: rc.Warmup, Duration: rc.Duration,
-				Timeout:  20 * time.Millisecond,
-				Workload: shardWorkload(),
-				Target:   cl.ServiceAddr,
-				Port:     uint16(1000 + i),
-				Router:   router,
-				Obs:      rc.Obs,
-			})
-		clients = append(clients, c)
 	}
-	cl.Start()
-	for _, c := range clients {
-		c.Start()
-	}
-	cl.Run(rc.Warmup + rc.Duration + 40*time.Millisecond)
-
-	hist := loadgen.MergeHistograms(clients)
-	var offered, achieved, nacked, lost float64
-	for _, c := range clients {
-		r := c.Result()
-		offered += r.Offered
-		achieved += r.Achieved
-		nacked += r.NackRate
-		lost += r.LossRate
-	}
-	sum := hist.Summary()
-	return ShardRunResult{
-		Point: Point{
-			OfferedKRPS:  offered / 1000,
-			AchievedKRPS: achieved / 1000,
-			P99:          sum.P99,
-			P50:          sum.P50,
-			NackKRPS:     nacked / 1000,
-			LossKRPS:     lost / 1000,
-		},
-		Cluster: cl,
-		Clients: clients,
-		Hist:    hist,
-		Shards:  loadgen.MergeShardStats(clients),
-	}
-}
-
-// RunShardCurve sweeps offered rates over one shard configuration.
-func RunShardCurve(spec ShardSpec, rates []float64, rc RunConfig) Curve {
-	c := Curve{Label: spec.label()}
-	for _, r := range rates {
-		res := RunShardPoint(spec, r, rc)
-		c.Points = append(c.Points, res.Point)
-	}
-	return c
 }
 
 // Shardscale is the Multi-Raft scale-out experiment: max throughput under
@@ -133,6 +51,7 @@ func Shardscale(sc Scale) *Report {
 	if len(groups) == 0 {
 		groups = []int{1, 2, 4, 8}
 	}
+	wl := shardWorkload{SyntheticSpec{Service: loadgen.Fixed(time.Microsecond), ReqSize: 24, ReplySize: 8}}
 
 	t := &stats.Table{
 		Title:   fmt.Sprintf("Max kRPS under 500µs SLO vs group count (pool %d, R=%d, S=1µs, 24B/8B)", pool, replication),
@@ -155,13 +74,14 @@ func Shardscale(sc Scale) *Report {
 		if max := pool / replication; eff > max {
 			eff = max
 		}
-		spec := ShardSpec{Groups: g, Pool: pool, Replication: replication}
+		sys := shardSystem(g, pool, replication)
 		cfg := sc.runCfg()
 		// Spread client load so the generators never bottleneck a multi-
 		// group sweep (each group can absorb ~1M RPS on its own).
 		cfg.Clients = 4 * eff
 		rates := SweepRates(1_050_000*float64(eff), sc.Points)
-		curve := RunShardCurve(spec, rates, cfg)
+		curve := RunCurve(sys, wl, rates, cfg)
+		curve.Label = sys.Label
 		curves = append(curves, curve)
 
 		max := curve.MaxUnderSLO(SLO)
@@ -193,10 +113,9 @@ func Shardscale(sc Scale) *Report {
 	}
 	cfg := sc.runCfg()
 	cfg.Clients = 4 * eff
-	res := RunShardPoint(ShardSpec{Groups: last, Pool: pool, Replication: replication},
-		700_000*float64(eff), cfg)
+	res := RunPoint(shardSystem(last, pool, replication), wl, 700_000*float64(eff), cfg)
 	rep.Notes = append(rep.Notes,
 		fmt.Sprintf("per-shard breakdown at G=%d, %.0f kRPS offered:\n%s",
-			last, res.Point.OfferedKRPS, loadgen.ShardTable(res.Shards, cfg.Duration)))
+			last, res.Point.OfferedKRPS, loadgen.ShardTable(loadgen.MergeShardStats(res.Clients), cfg.Duration)))
 	return rep
 }

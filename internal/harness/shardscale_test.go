@@ -4,10 +4,13 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hovercraft/internal/loadgen"
 )
 
-func TestRunShardPointMeasuresSanely(t *testing.T) {
-	res := RunShardPoint(ShardSpec{Groups: 2, Pool: 6, Replication: 3}, 120_000, RunConfig{
+func TestRunPointShardedMeasuresSanely(t *testing.T) {
+	wl := shardWorkload{SyntheticSpec{Service: loadgen.Fixed(time.Microsecond), ReqSize: 24, ReplySize: 8}}
+	res := RunPoint(shardSystem(2, 6, 3), wl, 120_000, RunConfig{
 		Seed: 7, Warmup: 5 * time.Millisecond, Duration: 20 * time.Millisecond, Clients: 2,
 	})
 	p := res.Point
@@ -20,11 +23,12 @@ func TestRunShardPointMeasuresSanely(t *testing.T) {
 	if p.P99 < p.P50 || p.P50 <= 0 {
 		t.Fatalf("latency summary inconsistent: %v", p)
 	}
-	if len(res.Shards) != 2 {
-		t.Fatalf("breakdown covers %d groups, want 2", len(res.Shards))
+	shards := loadgen.MergeShardStats(res.Clients)
+	if len(shards) != 2 {
+		t.Fatalf("breakdown covers %d groups, want 2", len(shards))
 	}
-	total := res.Shards[0].Completed + res.Shards[1].Completed
-	for _, st := range res.Shards {
+	total := shards[0].Completed + shards[1].Completed
+	for _, st := range shards {
 		if st.Completed < total/8 {
 			t.Fatalf("group %d served only %d of %d ops — partition unbalanced",
 				st.Group, st.Completed, total)

@@ -29,11 +29,11 @@ func registerClusterMetrics(o *obs.Obs, res RunResult) {
 		prefix := fmt.Sprintf("node%d", n.ID)
 		if n.Unrep != nil {
 			reg.CounterSet(prefix, n.Unrep.Counters())
-		} else if n.Engine != nil {
-			reg.CounterSet(prefix, n.Engine.Counters())
+		} else if n.Engines[0] != nil {
+			reg.CounterSet(prefix, n.Engines[0].Counters())
 		}
 	}
-	if flow := res.Cluster.Flow; flow != nil {
+	if flow := res.Cluster.Groups[0].Flow; flow != nil {
 		reg.Counter("flow.nacked", func() uint64 { return flow.Nacked })
 		reg.Gauge("flow.inflight", func() float64 { return float64(flow.InFlight()) })
 	}

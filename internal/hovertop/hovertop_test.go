@@ -223,15 +223,15 @@ func simFleet(t *testing.T, seed int64) ([]*httptest.Server, func()) {
 		reg.Gauge("shards", func() float64 { return 1 })
 		sc := reg.Sub("shard0")
 		sc.Gauge("raft.is_leader", func() float64 {
-			if n.Engine.IsLeader() {
+			if n.Engines[0].IsLeader() {
 				return 1
 			}
 			return 0
 		})
-		sc.Gauge("raft.term", func() float64 { return float64(n.Engine.Node().Status().Term) })
-		sc.Gauge("raft.commit_index", func() float64 { return float64(n.Engine.Node().Status().Commit) })
-		sc.Gauge("raft.applied_index", func() float64 { return float64(n.Engine.Node().Status().Applied) })
-		sc.CounterSet("engine", n.Engine.Counters())
+		sc.Gauge("raft.term", func() float64 { return float64(n.Engines[0].Node().Status().Term) })
+		sc.Gauge("raft.commit_index", func() float64 { return float64(n.Engines[0].Node().Status().Commit) })
+		sc.Gauge("raft.applied_index", func() float64 { return float64(n.Engines[0].Node().Status().Applied) })
+		sc.CounterSet("engine", n.Engines[0].Counters())
 		n.Tel.Register(sc)
 		servers = append(servers, httptest.NewServer(obs.PromHandler(reg)))
 	}

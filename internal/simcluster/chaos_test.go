@@ -44,7 +44,7 @@ func chaosRunWith(seed int64, sched fault.Schedule, tweak func(*Options)) (uint6
 	tracer := obs.New()
 	opts := Options{
 		Setup: SetupHovercraft, Nodes: 3, Seed: seed, WAL: true, Obs: tracer,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := &chaosService{}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -100,7 +100,7 @@ func chaosRunWith(seed int64, sched fault.Schedule, tweak func(*Options)) (uint6
 	}
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
-			la, lb := live[i].Engine.Node().Log(), live[j].Engine.Node().Log()
+			la, lb := live[i].Engines[0].Node().Log(), live[j].Engines[0].Node().Log()
 			lo := la.FirstIndex()
 			if fb := lb.FirstIndex(); fb > lo {
 				lo = fb
@@ -126,8 +126,8 @@ func chaosRunWith(seed int64, sched fault.Schedule, tweak func(*Options)) (uint6
 	// two live replicas are prefixes of each other.
 	for i := 0; i < len(live); i++ {
 		for j := i + 1; j < len(live); j++ {
-			a := live[i].Service.(*chaosService).log
-			b := live[j].Service.(*chaosService).log
+			a := live[i].Services[0].(*chaosService).log
+			b := live[j].Services[0].(*chaosService).log
 			if len(b) < len(a) {
 				a, b = b, a
 			}
@@ -148,7 +148,7 @@ func chaosRunWith(seed int64, sched fault.Schedule, tweak func(*Options)) (uint6
 		}
 	}
 	for _, n := range c.Nodes {
-		svc := n.Service.(*chaosService)
+		svc := n.Services[0].(*chaosService)
 		fp.Add("n%d v=%q applied=%d crashed=%v", n.ID, svc.v, len(svc.log), n.Crashed())
 		for _, op := range svc.log {
 			fp.Add("%s", op)

@@ -3,7 +3,8 @@
 // the flow-control middlebox, the in-network aggregator, multicast
 // groups, and hooks for load-generating clients. It is the simulated
 // equivalent of the paper's testbed (§7) and the substrate for every
-// experiment in the harness.
+// experiment in the harness. One Cluster runs one Raft group by default
+// or, sharded, G independent groups placed over a shared node pool.
 package simcluster
 
 import (
@@ -17,6 +18,7 @@ import (
 	"hovercraft/internal/r2p2"
 	"hovercraft/internal/raft"
 	"hovercraft/internal/runtime"
+	"hovercraft/internal/shard"
 	"hovercraft/internal/simnet"
 	"hovercraft/internal/wire"
 )
@@ -54,16 +56,24 @@ func (s Setup) String() string {
 // Options configures a simulated cluster.
 type Options struct {
 	Setup Setup
-	// Nodes is the cluster size (forced to 1 for SetupUnreplicated).
+	// Groups is the number of independent Raft groups (default 1,
+	// at most shard.MaxGroups). Groups > 1 shards the keyspace
+	// (Multi-Raft): clients route by Cluster.Map and tag requests with
+	// the R2P2 group byte. Sharded clusters run SetupHovercraft without
+	// a WAL.
+	Groups int
+	// Nodes is the node pool size (forced to 1 for SetupUnreplicated;
+	// default Replication × min(Groups, 4), so 3 for one group).
 	Nodes int
-	Seed  int64
+	// Replication is each group's replica count (default Nodes for one
+	// group, else 3). Groups are placed over the pool by shard.Place.
+	Replication int
+	Seed        int64
 	// Host configures node NICs; zero value uses paper defaults.
 	Host simnet.HostConfig
 
-	// Engine knobs (zero values take core defaults).
+	// Engine knobs (zero values take core defaults), applied per group.
 	TickInterval   time.Duration
-	ElectionTicks  int
-	HeartbeatTicks int
 	Bound          int
 	Policy         core.SelectPolicy
 	DisableReplyLB bool
@@ -82,46 +92,28 @@ type Options struct {
 	// ReadStalenessBudget relaxes follower reads to bounded staleness
 	// (core.Config.ReadStalenessBudget). 0 = strict linearizability.
 	ReadStalenessBudget time.Duration
-	// ReadNackAfter is the read SLO bound before a replica NACKs a
-	// queued read (core.Config.ReadNackAfter; 0 = 500µs).
-	ReadNackAfter time.Duration
-	// DriftTicks is the lease clock-drift margin (raft.Config.DriftTicks).
-	DriftTicks int
 
-	// FlowLimit caps in-flight requests at the middlebox (0 = 4096).
+	// FlowLimit caps each group's in-flight requests at the middlebox
+	// (0 = 4096).
 	FlowLimit int
 
-	// AdaptiveAdmission replaces the fixed FlowLimit window with the
-	// AIMD controller of internal/admission: the middlebox admit window
-	// tracks the worst queue-delay p99 across the nodes' consensus-path
-	// stages, shrinking under overload and recovering toward FlowLimit
-	// when the tail is healthy. Shed requests carry a retry-after hint.
-	// Requires per-node telemetry; when NewTelemetry is unset a
-	// fine-grained default (1ms epochs) is installed automatically.
+	// AdaptiveAdmission replaces each group's fixed FlowLimit window
+	// with the AIMD controller of internal/admission: the group's admit
+	// window tracks the worst queue-delay p99 across its live member
+	// nodes' consensus-path stages, shrinking under overload and
+	// recovering toward FlowLimit when the tail is healthy — a hot
+	// shard sheds load while cold shards keep their full windows. Shed
+	// requests carry a retry-after hint. Requires per-node telemetry;
+	// when NewTelemetry is unset a fine-grained default (1ms epochs) is
+	// installed automatically.
 	AdaptiveAdmission bool
-	// Admission tunes the controller; zero values take the admission
+	// Admission tunes the controllers; zero values take the admission
 	// package defaults, with Max/Initial defaulting to FlowLimit.
 	Admission admission.Config
-	// AdmitTick is the controller's cadence (default 250µs virtual).
-	AdmitTick time.Duration
 
 	// CompactEvery enables raft log compaction every N applied entries
 	// when the service implements core.Snapshotter (0 = off).
 	CompactEvery uint64
-
-	// Cores models the transport's per-core run-to-completion shards in
-	// virtual time: ingress packets hash by source across Cores virtual
-	// cores, the engine is owned by core 0, and packets landing on any
-	// other core cross into the owner through the same bounded SPSC
-	// mailboxes the UDP transport uses, drained at the owner's next
-	// tick boundary. 0 or 1 keeps the single-core path bit-identical to
-	// the pre-sharding behavior. Runs remain fully deterministic for a
-	// fixed seed: the hash, the drain order, and the tick cadence are
-	// all functions of simulated state.
-	Cores int
-	// HandoffDepth bounds each virtual core's mailbox in packets
-	// (0 = 1024); a full mailbox drops the packet, like the transport.
-	HandoffDepth int
 
 	// WAL, when true, gives every node an in-memory framed write-ahead
 	// log (raft.BufferStorage) so a crashed node can come back through
@@ -130,10 +122,13 @@ type Options struct {
 	// resume of Node.Restart.
 	WAL bool
 
-	// NewService builds each node's application instance. The returned
-	// cost model charges the simulated app thread; return the service
-	// itself when it implements app.CostModel.
-	NewService func() (app.Service, app.CostModel)
+	// NewService builds one group's application instance on one node.
+	// Every member of a group must build equivalent state machines; the
+	// group argument lets a keyed service know which slice of the
+	// keyspace it owns. The returned cost model charges the simulated
+	// app thread; return the service itself when it implements
+	// app.CostModel.
+	NewService func(group int) (app.Service, app.CostModel)
 
 	// Preload is applied to every node's service before the cluster
 	// starts (dataset loading, outside the measured window).
@@ -145,66 +140,102 @@ type Options struct {
 	Obs *obs.Obs
 
 	// NewTelemetry, when non-nil, builds each node's queue-delay
-	// telemetry instrument (per-stage windowed histograms). The cluster
-	// binds every instrument's clock to virtual time, so a fixed seed
-	// produces identical telemetry counts run over run. The instrument
-	// survives crash/restart cycles (it models the process, not the
-	// engine incarnation).
+	// telemetry instrument (per-stage windowed histograms), shared by
+	// every group replica the node hosts. The cluster binds every
+	// instrument's clock to virtual time, so a fixed seed produces
+	// identical telemetry counts run over run. The instrument survives
+	// crash/restart cycles (it models the process, not the engine
+	// incarnation).
 	NewTelemetry func(id raft.NodeID) *obs.Telemetry
 }
 
-// Node is one simulated server.
+// Node is one simulated server. It hosts an engine per group it is a
+// member of, all sharing the node's simulated host (NIC, app thread) —
+// the contention that makes overlapping placements saturate honestly.
 type Node struct {
-	ID      raft.NodeID
-	Host    *simnet.Host
-	Engine  *core.Engine             // nil for SetupUnreplicated
+	ID   raft.NodeID
+	Host *simnet.Host
+	// Engines is indexed by group; nil where this node is not a member
+	// (and everywhere for SetupUnreplicated).
+	Engines []*core.Engine
 	Unrep   *core.UnreplicatedEngine // nil unless SetupUnreplicated
-	Service app.Service
-	Tel     *obs.Telemetry // nil unless Options.NewTelemetry
+	// Services is indexed like Engines (Services[0] under UnRep).
+	Services []app.Service
+	Tel      *obs.Telemetry // nil unless Options.NewTelemetry
 
 	cluster    *Cluster
 	drv        *runtime.Driver
-	inboxes    []*runtime.Mailbox // cross-core handoff rings (Options.Cores > 1)
 	crashed    bool
 	storage    *raft.BufferStorage
 	fsyncDelay time.Duration
-	peers      []raft.NodeID
+}
+
+// Group is one Raft group's cluster-side state.
+type Group struct {
+	// Flow is the group's window at the middlebox (nil in the UnRep and
+	// Vanilla setups, which have none).
+	Flow *core.FlowControl
+	// Admission is the adaptive controller driving Flow's window (nil
+	// unless Options.AdaptiveAdmission in a middlebox setup).
+	Admission *admission.Controller
+
+	addr simnet.Addr // multicast address of the member set
 }
 
 // Cluster is the assembled deployment.
 type Cluster struct {
-	Sim  *simnet.Sim
-	Net  *simnet.Network
-	Opts Options
+	Sim *simnet.Sim
+	Net *simnet.Network
 
-	Nodes []*Node
-	Agg   *core.Aggregator
-	Flow  *core.FlowControl
-	// Admission is the adaptive controller driving Flow's window (nil
-	// unless Options.AdaptiveAdmission in a middlebox setup).
-	Admission *admission.Controller
+	// Map is the authoritative shard map clients route by.
+	Map *shard.Map
+	// Placement records each group's members and placed leader.
+	Placement shard.Placement
+
+	Nodes  []*Node
+	Groups []*Group
+	Agg    *core.Aggregator
 
 	// ServiceAddr is where clients send requests: the middlebox in
 	// HovercRaft modes, the (initial) leader in Vanilla, the server in
 	// UnRep.
 	ServiceAddr simnet.Addr
 
+	// StaleNacks counts requests NACKed with the r2p2.GroupInvalid
+	// redirect sentinel (client shard map newer than the deployment).
+	StaleNacks uint64
+
+	opts     Options
 	aggHost  *simnet.Host
 	flowHost *simnet.Host
 
-	groupAll    simnet.Addr
-	groupExcept map[raft.NodeID]simnet.Addr
+	groupExcept map[raft.NodeID]simnet.Addr // aggregator fan-out, HovercRaft++
 	addrOf      map[raft.NodeID]simnet.Addr
 }
 
 // New assembles a cluster (does not start ticking; call Start).
 func New(opts Options) *Cluster {
+	if opts.Groups <= 0 {
+		opts.Groups = 1
+	}
+	if opts.Groups > 1 && (opts.Setup != SetupHovercraft || opts.WAL) {
+		panic("simcluster: sharded clusters run SetupHovercraft without a WAL")
+	}
 	if opts.Setup == SetupUnreplicated {
 		opts.Nodes = 1
 	}
-	if opts.Nodes <= 0 {
-		opts.Nodes = 3
+	if opts.Replication <= 0 {
+		opts.Replication = 3
+		if opts.Groups == 1 && opts.Nodes > 0 {
+			opts.Replication = opts.Nodes
+		}
 	}
+	if opts.Nodes <= 0 {
+		// Enough nodes for disjoint groups, capped at 4 groups' worth —
+		// beyond that, placements overlap by design.
+		opts.Nodes = min(opts.Groups, 4) * opts.Replication
+	}
+	opts.Nodes = max(opts.Nodes, opts.Replication)
 	if opts.Host.LinkBps == 0 {
 		opts.Host = simnet.DefaultHostConfig()
 	}
@@ -215,7 +246,7 @@ func New(opts Options) *Cluster {
 		opts.TickInterval = 10 * time.Microsecond
 	}
 	if opts.NewService == nil {
-		opts.NewService = func() (app.Service, app.CostModel) {
+		opts.NewService = func(int) (app.Service, app.CostModel) {
 			s := &app.SynthService{}
 			return s, s
 		}
@@ -225,15 +256,12 @@ func New(opts Options) *Cluster {
 		// instruments fine-grained enough for µs-scale simulated runs.
 		opts.NewTelemetry = defaultAdmissionTelemetry(opts.Admission.Target)
 	}
-	if opts.AdmitTick <= 0 {
-		opts.AdmitTick = 250 * time.Microsecond
-	}
 
 	c := &Cluster{
-		Sim:         simnet.New(opts.Seed),
-		Opts:        opts,
-		groupExcept: make(map[raft.NodeID]simnet.Addr),
-		addrOf:      make(map[raft.NodeID]simnet.Addr),
+		Sim:    simnet.New(opts.Seed),
+		opts:   opts,
+		Map:    shard.NewMap(opts.Groups),
+		addrOf: make(map[raft.NodeID]simnet.Addr),
 	}
 	c.Net = simnet.NewNetwork(c.Sim)
 	if opts.Obs.Active() {
@@ -243,16 +271,23 @@ func New(opts Options) *Cluster {
 		})
 	}
 
-	peers := make([]raft.NodeID, opts.Nodes)
-	for i := range peers {
-		peers[i] = raft.NodeID(i + 1)
+	pool := make([]raft.NodeID, opts.Nodes)
+	for i := range pool {
+		pool[i] = raft.NodeID(i + 1)
 	}
+	c.Placement = shard.Place(opts.Groups, pool, opts.Replication)
 
-	// Server hosts.
-	for _, id := range peers {
+	// Every host first (pool nodes, then the middleboxes), engines last:
+	// raft.NewNode draws its election timeout from the shared Sim.Rand()
+	// at construction, so the engine build order fixes the run.
+	for _, id := range pool {
 		h := c.Net.NewHost(fmt.Sprintf("node%d", id), opts.Host)
 		c.addrOf[id] = h.Addr()
-		n := &Node{ID: id, Host: h, cluster: c, peers: peers}
+		n := &Node{
+			ID: id, Host: h, cluster: c,
+			Engines:  make([]*core.Engine, opts.Groups),
+			Services: make([]app.Service, opts.Groups),
+		}
 		if opts.NewTelemetry != nil {
 			n.Tel = opts.NewTelemetry(id)
 			n.Tel.SetClock(c.Sim.Now)
@@ -265,58 +300,45 @@ func New(opts Options) *Cluster {
 				}
 			}
 		}
-		c.buildEngine(n)
 		c.Nodes = append(c.Nodes, n)
 	}
-
-	// Multicast groups.
-	addrs := make([]simnet.Addr, 0, len(peers))
-	for _, id := range peers {
-		addrs = append(addrs, c.addrOf[id])
-	}
-	c.groupAll = c.Net.NewGroup(addrs...)
-	for _, id := range peers {
-		var rest []simnet.Addr
-		for _, other := range peers {
-			if other != id {
-				rest = append(rest, c.addrOf[other])
-			}
-		}
-		c.groupExcept[id] = c.Net.NewGroup(rest...)
+	for _, members := range c.Placement.Members {
+		c.Groups = append(c.Groups, &Group{addr: c.Net.NewGroup(c.addrs(members)...)})
 	}
 
 	switch opts.Setup {
 	case SetupUnreplicated, SetupVanilla:
 		c.ServiceAddr = c.addrOf[1]
 	default:
-		// Flow-control middlebox in front of the multicast group. It is
-		// switch hardware: line-rate, negligible per-packet software cost.
-		mbCfg := opts.Host
-		mbCfg.LinkBps = 100_000_000_000
-		mbCfg.RxCost = 50 * time.Nanosecond
-		mbCfg.TxCost = 50 * time.Nanosecond
-		mbCfg.EgressQueue = 8192
-		mbCfg.IngressQueue = 8192
-		c.flowHost = c.Net.NewHost("flowctl", mbCfg)
-		c.Flow = core.NewFlowControl(opts.FlowLimit, 20*time.Millisecond)
+		// One flow-control middlebox in front of every group's multicast
+		// address, with a window per group.
+		c.flowHost = c.Net.NewHost("flowctl", switchConfig(opts.Host))
 		c.flowHost.SetHandler(c.onFlowPacket)
 		c.ServiceAddr = c.flowHost.Addr()
-		if opts.AdaptiveAdmission {
-			c.Admission = newFlowController(opts.Admission, opts.FlowLimit,
-				admission.WorstOf(c.liveTels))
-			c.Flow.NackHint = c.Admission.Hint()
+		for g, sg := range c.Groups {
+			sg.Flow = core.NewFlowControl(opts.FlowLimit, 20*time.Millisecond)
+			if opts.AdaptiveAdmission {
+				sg.Admission = newFlowController(opts.Admission, opts.FlowLimit,
+					admission.WorstOf(c.liveTels(c.Placement.Members[g])))
+				sg.Flow.NackHint = sg.Admission.Hint()
+			}
 		}
 	}
 
 	if opts.Setup == SetupHovercraftPP {
-		agCfg := opts.Host
-		agCfg.LinkBps = 100_000_000_000
-		agCfg.RxCost = 50 * time.Nanosecond
-		agCfg.TxCost = 50 * time.Nanosecond
-		agCfg.EgressQueue = 8192
-		agCfg.IngressQueue = 8192
-		c.aggHost = c.Net.NewHost("aggregator", agCfg)
-		c.Agg = core.NewAggregator(peers, &aggTransport{c: c})
+		members := c.Placement.Members[0]
+		c.groupExcept = make(map[raft.NodeID]simnet.Addr)
+		for _, id := range members {
+			var rest []raft.NodeID
+			for _, other := range members {
+				if other != id {
+					rest = append(rest, other)
+				}
+			}
+			c.groupExcept[id] = c.Net.NewGroup(c.addrs(rest)...)
+		}
+		c.aggHost = c.Net.NewHost("aggregator", switchConfig(opts.Host))
+		c.Agg = core.NewAggregator(members, &aggTransport{c: c})
 		aggDrv := runtime.New(c.Agg, runtime.Options{
 			Now: c.Sim.Now, ReasmTimeout: 20 * time.Millisecond,
 		})
@@ -324,109 +346,120 @@ func New(opts Options) *Cluster {
 			aggDrv.Ingest(pkt.Payload, uint32(pkt.Src))
 		})
 	}
+
+	// Engines in group-major order (node order for one group).
+	for g, members := range c.Placement.Members {
+		for _, id := range members {
+			c.buildEngine(c.Nodes[id-1], g)
+		}
+	}
+	for _, n := range c.Nodes {
+		n.newDriver()
+		n.Host.SetHandler(n.onPacket)
+	}
 	return c
 }
 
+// switchConfig is a middlebox's NIC: switch hardware at line rate with
+// negligible per-packet software cost.
+func switchConfig(cfg simnet.HostConfig) simnet.HostConfig {
+	cfg.LinkBps = 100_000_000_000
+	cfg.RxCost = 50 * time.Nanosecond
+	cfg.TxCost = 50 * time.Nanosecond
+	cfg.EgressQueue = 8192
+	cfg.IngressQueue = 8192
+	return cfg
+}
+
+// addrs maps node IDs to their network addresses.
+func (c *Cluster) addrs(ids []raft.NodeID) []simnet.Addr {
+	out := make([]simnet.Addr, len(ids))
+	for i, id := range ids {
+		out[i] = c.addrOf[id]
+	}
+	return out
+}
+
 // buildEngine constructs (or reconstructs, after a WAL restart) the
-// node's service and protocol engine, and installs the packet handler.
-func (c *Cluster) buildEngine(n *Node) {
-	opts := c.Opts
-	svc, cost := opts.NewService()
+// node's service and protocol engine for group g.
+func (c *Cluster) buildEngine(n *Node, g int) {
+	opts := c.opts
+	svc, cost := opts.NewService(g)
 	for _, payload := range opts.Preload {
 		svc.Execute(payload, false)
 	}
-	n.Service = svc
+	n.Services[g] = svc
 	runner := &simRunner{host: n.Host, svc: svc, cost: cost, tel: n.Tel}
+	tr := &nodeTransport{c: c, host: n.Host, group: uint8(g)}
 	if opts.Setup == SetupUnreplicated {
-		n.Unrep = core.NewUnreplicatedEngine(&nodeTransport{c: c, host: n.Host}, runner)
+		n.Unrep = core.NewUnreplicatedEngine(tr, runner)
 		n.Unrep.SetObs(opts.Obs)
-	} else {
-		mode := core.ModeVanilla
-		switch opts.Setup {
-		case SetupHovercraft:
-			mode = core.ModeHovercraft
-		case SetupHovercraftPP:
-			mode = core.ModeHovercraftPP
-		}
-		var snapshotter core.Snapshotter
-		if sn, ok := svc.(core.Snapshotter); ok && opts.CompactEvery > 0 {
-			snapshotter = sn
-		}
-		var storage raft.Storage
-		if n.storage != nil {
-			storage = n.storage
-		}
-		n.Engine = core.NewEngine(core.Config{
-			Mode: mode, ID: n.ID, Peers: n.peers,
-			TickInterval:   opts.TickInterval,
-			ElectionTicks:  opts.ElectionTicks,
-			HeartbeatTicks: opts.HeartbeatTicks,
-			Bound:          opts.Bound,
-			Policy:         opts.Policy,
-			DisableReplyLB: opts.DisableReplyLB,
-			Rand:           c.Sim.Rand(),
-			Snapshotter:    snapshotter,
-			CompactEvery:   opts.CompactEvery,
-			Storage:        storage,
-			Obs:            opts.Obs,
-			Tel:            n.Tel,
-
-			MaxInflightEntries: opts.MaxInflightEntries,
-			MaxBatchBytes:      opts.MaxBatchBytes,
-
-			ReadLease:           opts.ReadLease,
-			ReadStalenessBudget: opts.ReadStalenessBudget,
-			ReadNackAfter:       opts.ReadNackAfter,
-			DriftTicks:          opts.DriftTicks,
-		}, &nodeTransport{c: c, host: n.Host}, runner)
+		return
 	}
-	var handler runtime.Handler
-	var tick func()
-	if n.Unrep != nil {
-		handler = n.Unrep
-	} else {
-		handler = n.Engine
-		tick = n.Engine.Tick
+	mode := core.ModeVanilla
+	switch opts.Setup {
+	case SetupHovercraft:
+		mode = core.ModeHovercraft
+	case SetupHovercraftPP:
+		mode = core.ModeHovercraftPP
 	}
-	n.drv = runtime.New(handler, runtime.Options{
-		Now:          c.Sim.Now,
+	var snapshotter core.Snapshotter
+	if sn, ok := svc.(core.Snapshotter); ok && opts.CompactEvery > 0 {
+		snapshotter = sn
+	}
+	var storage raft.Storage
+	if n.storage != nil {
+		storage = n.storage
+	}
+	n.Engines[g] = core.NewEngine(core.Config{
+		Mode: mode, ID: n.ID, Peers: c.Placement.Members[g],
+		TickInterval:   opts.TickInterval,
+		Bound:          opts.Bound,
+		Policy:         opts.Policy,
+		DisableReplyLB: opts.DisableReplyLB,
+		Rand:           c.Sim.Rand(),
+		Snapshotter:    snapshotter,
+		CompactEvery:   opts.CompactEvery,
+		Storage:        storage,
+		Obs:            opts.Obs,
+		Tel:            n.Tel,
+
+		MaxInflightEntries: opts.MaxInflightEntries,
+		MaxBatchBytes:      opts.MaxBatchBytes,
+
+		ReadLease:           opts.ReadLease,
+		ReadStalenessBudget: opts.ReadStalenessBudget,
+	}, tr, runner)
+}
+
+// newDriver gives the node a fresh runtime driver (empty reassembly
+// state) feeding its engines.
+func (n *Node) newDriver() {
+	n.drv = runtime.New(runtime.HandlerFunc(n.dispatch), runtime.Options{
+		Now:          n.cluster.Sim.Now,
 		ReasmTimeout: 20 * time.Millisecond,
-		Tick:         tick,
+		Tick:         n.tickEngines,
 		GCEvery:      1024,
 		Telemetry:    n.Tel,
 	})
-	n.resetCores()
-	n.Host.SetHandler(n.onPacket)
 }
 
-// resetCores rebuilds the node's cross-core mailboxes empty: the rings
-// model per-core NIC queues, so a crash (or an engine rebuild) loses
-// whatever was parked in them, exactly like the real transport.
-func (n *Node) resetCores() {
-	opts := n.cluster.Opts
-	if opts.Cores <= 1 {
-		n.inboxes = nil
-		return
-	}
-	n.inboxes = make([]*runtime.Mailbox, opts.Cores-1)
-	for i := range n.inboxes {
-		n.inboxes[i] = runtime.NewMailbox(opts.HandoffDepth)
-	}
-}
-
-// Start launches tick loops and elects node 1 (deterministic bootstrap,
-// as in the paper's experiments where the leader is fixed).
+// Start launches tick loops and campaigns each group's placed leader
+// (deterministic bootstrap, as in the paper's experiments where the
+// leader is fixed).
 func (c *Cluster) Start() {
 	for _, n := range c.Nodes {
 		n.startTicking()
 	}
-	if c.Opts.Setup != SetupUnreplicated {
-		c.Nodes[0].Engine.Campaign()
+	if c.opts.Setup != SetupUnreplicated {
+		for g, leader := range c.Placement.Leaders {
+			c.Nodes[leader-1].Engines[g].Campaign()
+		}
 	}
-	if c.Flow != nil {
+	if c.flowHost != nil {
 		c.flowGC()
 	}
-	if c.Admission != nil {
+	if c.Groups[0].Admission != nil {
 		c.admitTick()
 	}
 }
@@ -458,79 +491,39 @@ func newFlowController(cfg admission.Config, flowLimit int, sig admission.Signal
 	return admission.New(cfg, sig)
 }
 
-// liveTels is the admission signal's view: telemetry of every node
-// still running (a crashed node's stale window must not hold the
-// cluster's admit window down through a failover).
-func (c *Cluster) liveTels() []*obs.Telemetry {
-	tels := make([]*obs.Telemetry, 0, len(c.Nodes))
-	for _, n := range c.Nodes {
-		if !n.crashed {
-			tels = append(tels, n.Tel)
+// liveTels is one group's admission signal: telemetry of its member
+// nodes still running, in member order (a crashed node's stale window
+// must not hold the group's admit window down through a failover).
+func (c *Cluster) liveTels(members []raft.NodeID) func() []*obs.Telemetry {
+	return func() []*obs.Telemetry {
+		tels := make([]*obs.Telemetry, 0, len(members))
+		for _, id := range members {
+			if n := c.Nodes[id-1]; !n.crashed {
+				tels = append(tels, n.Tel)
+			}
 		}
+		return tels
 	}
-	return tels
 }
 
-// admitTick is the control loop: read the signal, resize the window,
-// refresh the NACK retry-after hint.
+// admitTick is the control loop, one shared 250µs cadence for every group:
+// read each group's signal, resize its window, refresh its NACK
+// retry-after hint — a hot shard's backpressure never throttles its
+// neighbors.
 func (c *Cluster) admitTick() {
-	c.Admission.Tick()
-	c.Flow.SetLimit(c.Admission.Window())
-	c.Flow.NackHint = c.Admission.Hint()
-	c.Sim.After(c.Opts.AdmitTick, c.admitTick)
-}
-
-// RegisterMetrics exposes the middlebox admission state on the
-// registry: flow window counters/occupancy plus, when the adaptive
-// controller runs, its window/hint/step state under "admission", and
-// every node's queue-delay telemetry under node<N>.qdelay.*.
-func (c *Cluster) RegisterMetrics(reg *obs.Registry) {
-	if reg == nil {
-		return
+	for _, sg := range c.Groups {
+		sg.Admission.Tick()
+		sg.Flow.SetLimit(sg.Admission.Window())
+		sg.Flow.NackHint = sg.Admission.Hint()
 	}
-	if c.Flow != nil {
-		fv := reg.Sub("flow")
-		fv.Counter("admitted", func() uint64 { return c.Flow.Admitted })
-		fv.Counter("nacked", func() uint64 { return c.Flow.Nacked })
-		fv.Counter("leaked", func() uint64 { return c.Flow.Leaked })
-		fv.Gauge("inflight", func() float64 { return float64(c.Flow.InFlight()) })
-		fv.Gauge("limit", func() float64 { return float64(c.Flow.Limit) })
-	}
-	if c.Admission != nil {
-		c.Admission.Register(reg.Sub("admission"))
-	}
-	for _, n := range c.Nodes {
-		nv := reg.Sub(fmt.Sprintf("node%d", n.ID))
-		if n.Tel.Active() {
-			n.Tel.Register(nv)
-		}
-		// Virtual-core handoff health (Options.Cores > 1): pushes and
-		// drops per forwarding core, mirroring the transport's coreN
-		// counter families. The mailboxes are rebuilt on crash, so the
-		// closures re-read them at scrape time.
-		n := n
-		for ci := range n.inboxes {
-			ci := ci
-			cv := nv.Sub(fmt.Sprintf("core%d", ci+1))
-			cv.Counter("handoff_in", func() uint64 {
-				if ci < len(n.inboxes) {
-					return n.inboxes[ci].Pushed()
-				}
-				return 0
-			})
-			cv.Counter("handoff_drops", func() uint64 {
-				if ci < len(n.inboxes) {
-					return n.inboxes[ci].Dropped()
-				}
-				return 0
-			})
-		}
-	}
+	c.Sim.After(250*time.Microsecond, c.admitTick)
 }
 
 func (c *Cluster) flowGC() {
-	if n := c.Flow.GC(c.Sim.Now()); n > 0 && c.Opts.Obs.Active() {
-		c.Opts.Obs.Emitf("flow", "slot_reclaim", "reclaimed %d leaked in-flight slots", n)
+	for _, sg := range c.Groups {
+		if n := sg.Flow.GC(c.Sim.Now()); n > 0 && c.opts.Obs.Active() {
+			c.opts.Obs.Emitf("flow", "slot_reclaim", "reclaimed %d leaked in-flight slots", n)
+		}
 	}
 	c.Sim.After(5*time.Millisecond, c.flowGC)
 }
@@ -539,30 +532,17 @@ func (c *Cluster) flowGC() {
 // tests; nil outside HovercRaft++).
 func (c *Cluster) AggHost() *simnet.Host { return c.aggHost }
 
-// Leader returns the current leader node, or nil.
-func (c *Cluster) Leader() *Node {
-	for _, n := range c.Nodes {
-		if !n.crashed && n.Engine != nil && n.Engine.IsLeader() {
+// LeaderOf returns the node currently leading group g, or nil (during
+// an election, and always under UnRep).
+func (c *Cluster) LeaderOf(g int) *Node {
+	for _, id := range c.Placement.Members[g] {
+		n := c.Nodes[id-1]
+		if !n.crashed && n.Engines[g] != nil && n.Engines[g].IsLeader() {
 			return n
 		}
 	}
 	return nil
 }
-
-// Node returns the node with the given ID.
-func (c *Cluster) NodeByID(id raft.NodeID) *Node {
-	for _, n := range c.Nodes {
-		if n.ID == id {
-			return n
-		}
-	}
-	return nil
-}
-
-// NodeAddr returns the network address of one node — where lin-read
-// clients send point-to-point LIN_READ requests (reads bypass the
-// middlebox and its request multicast entirely).
-func (c *Cluster) NodeAddr(id raft.NodeID) simnet.Addr { return c.addrOf[id] }
 
 // NodeAddrs returns every node's address in ID order: the read-target
 // rotation set for loadgen clients spreading lin-reads across the
@@ -587,69 +567,55 @@ func (n *Node) startTicking() {
 		if n.crashed {
 			return
 		}
-		n.drainCores()
 		n.drv.Tick()
-		n.cluster.Sim.After(n.cluster.Opts.TickInterval, loop)
+		n.cluster.Sim.After(n.cluster.opts.TickInterval, loop)
 	}
-	n.cluster.Sim.After(n.cluster.Opts.TickInterval, loop)
+	n.cluster.Sim.After(n.cluster.opts.TickInterval, loop)
 }
 
-// onPacket is the node's virtual NIC. Single-core (the default) feeds
-// the engine directly. With Options.Cores > 1 the packet first lands on
-// the core its source hashes to — the simulated analogue of the
-// kernel's reuseport flow hash — and only core 0 (the engine owner)
-// ingests in place; the rest park the packet in their mailbox for the
-// owner's next tick boundary.
+// tickEngines is the node's protocol timer: every colocated group
+// replica ticks on the shared cadence.
+func (n *Node) tickEngines() {
+	for _, e := range n.Engines {
+		if e != nil {
+			e.Tick()
+		}
+	}
+}
+
+// onPacket is the node's virtual NIC.
 func (n *Node) onPacket(pkt *simnet.Packet) {
-	cores := n.cluster.Opts.Cores
-	if cores <= 1 {
-		n.drv.Ingest(pkt.Payload, uint32(pkt.Src))
-		return
-	}
-	core := int(uint32(pkt.Src) % uint32(cores))
-	if core == 0 {
-		n.drv.Ingest(pkt.Payload, uint32(pkt.Src))
-		return
-	}
-	mb := n.inboxes[core-1]
-	now := n.cluster.Sim.Now()
-	if pkt.Buf != nil {
-		// The fabric reclaims pooled buffers when this handler returns:
-		// parking the payload across tick boundaries needs a copy.
-		mb.Push(pkt.Payload, uint32(pkt.Src), 0, now)
-	} else {
-		// Client request payloads are plain heap memory parked
-		// server-side anyway — alias them, exactly like Ingest would.
-		mb.PushOwned(pkt.Payload, uint32(pkt.Src), 0, now)
-	}
+	n.drv.Ingest(pkt.Payload, uint32(pkt.Src))
 }
 
-// drainCores empties every virtual core's mailbox into the engine, in
-// core order — the deterministic stand-in for the owner loop's
-// Advance. Copied packets follow the borrowed-buffer contract (their
-// slot is reused), owned ones may be retained by the engine.
-func (n *Node) drainCores() {
-	for _, mb := range n.inboxes {
-		mb.Drain(mb.Cap(), func(dg []byte, src uint32, _ uint16, owned bool, at time.Duration) {
-			if n.Tel.Active() {
-				n.Tel.Record(obs.QIngress, n.cluster.Sim.Now()-at)
-			}
-			if owned {
-				n.drv.Ingest(dg, src)
-			} else {
-				n.drv.IngestBorrowed(dg, src)
-			}
-		})
+// dispatch routes a reassembled message to the engine of its group.
+func (n *Node) dispatch(m *r2p2.Msg) {
+	if n.Unrep != nil {
+		n.Unrep.HandleMessage(m)
+		return
 	}
+	g := int(m.Group)
+	if g >= len(n.Engines) || n.Engines[g] == nil {
+		// Not a member of this group under the current map. A client
+		// request landing here means the sender routed by a stale map:
+		// redirect it; anything else (stray consensus traffic during a
+		// reconfiguration) is dropped.
+		if m.Type == r2p2.TypeRequest {
+			nack := r2p2.MakeNack(m.ID)
+			r2p2.SetGroup(nack, r2p2.GroupInvalid)
+			n.Host.Send(&simnet.Packet{Dst: simnet.Addr(m.ID.SrcIP), Payload: nack})
+		}
+		return
+	}
+	n.Engines[g].HandleMessage(m)
 }
 
-// Crash fail-stops the node.
+// Crash fail-stops the node (taking down its replicas in every group).
 func (n *Node) Crash() {
 	n.crashed = true
-	n.resetCores() // per-core NIC queues die with the machine
 	n.Host.Crash()
-	if n.cluster.Opts.Obs.Active() {
-		n.cluster.Opts.Obs.Emitf("node", "crash", "node %d fail-stopped", n.ID)
+	if n.cluster.opts.Obs.Active() {
+		n.cluster.opts.Obs.Emitf("node", "crash", "node %d fail-stopped", n.ID)
 	}
 }
 
@@ -658,16 +624,13 @@ func (n *Node) Crash() {
 func (n *Node) Restart() {
 	n.Host.Restart()
 	n.startTicking()
-	if n.cluster.Opts.Obs.Active() {
-		n.cluster.Opts.Obs.Emitf("node", "restart", "node %d restarted", n.ID)
+	if n.cluster.opts.Obs.Active() {
+		n.cluster.opts.Obs.Emitf("node", "restart", "node %d restarted", n.ID)
 	}
 }
 
 // Crashed reports the node's failure state.
 func (n *Node) Crashed() bool { return n.crashed }
-
-// Storage returns the node's in-memory WAL (nil unless Options.WAL).
-func (n *Node) Storage() *raft.BufferStorage { return n.storage }
 
 // SetFsyncDelay injects a per-record persistence stall: every WAL append
 // additionally occupies the node's application thread for d (the
@@ -682,7 +645,7 @@ func (n *Node) SetFsyncDelay(d time.Duration) { n.fsyncDelay = d }
 // record. The service state is rebuilt by Raft re-applying the log once
 // the node rejoins (replayed replies are suppressed client-side by
 // request-ID dedup). Returns raft.ErrCorrupt if the WAL is damaged
-// beyond the torn-tail contract.
+// beyond the torn-tail contract. WAL clusters run one group.
 func (n *Node) RestartFromWAL(tornBytes int) error {
 	if n.storage == nil {
 		return fmt.Errorf("simcluster: node %d has no WAL (Options.WAL not set)", n.ID)
@@ -694,14 +657,15 @@ func (n *Node) RestartFromWAL(tornBytes int) error {
 	if err != nil {
 		return err
 	}
-	n.cluster.buildEngine(n) // rebuilds the runtime driver (fresh reassembly state)
-	if err := n.Engine.Bootstrap(rs); err != nil {
+	n.cluster.buildEngine(n, 0)
+	n.newDriver()
+	if err := n.Engines[0].Bootstrap(rs); err != nil {
 		return err
 	}
 	n.Host.Restart()
 	n.startTicking()
-	if n.cluster.Opts.Obs.Active() {
-		n.cluster.Opts.Obs.Emitf("node", "restart", "node %d recovered from WAL (torn=%dB, term=%d, %d entries)",
+	if n.cluster.opts.Obs.Active() {
+		n.cluster.opts.Obs.Emitf("node", "restart", "node %d recovered from WAL (torn=%dB, term=%d, %d entries)",
 			n.ID, tornBytes, rs.Term, len(rs.Entries))
 	}
 	return nil
@@ -717,9 +681,20 @@ func sendBufs(host *simnet.Host, dst simnet.Addr, dgs []*wire.Buf) {
 	}
 }
 
+// nodeTransport is one (node, group) engine's transport. Every header
+// carries the full R2P2 frame per fragment, so stamping the group byte
+// on each egress datagram tags whole messages — the engine itself stays
+// group-unaware. Group 0 is the byte every encoder already writes.
 type nodeTransport struct {
-	c    *Cluster
-	host *simnet.Host
+	c     *Cluster
+	host  *simnet.Host
+	group uint8
+}
+
+func (t *nodeTransport) stamp(dgs []*wire.Buf) {
+	for _, b := range dgs {
+		r2p2.SetGroup(b.B, t.group)
+	}
 }
 
 func (t *nodeTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
@@ -728,6 +703,7 @@ func (t *nodeTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
 		wire.ReleaseAll(dgs)
 		return
 	}
+	t.stamp(dgs)
 	sendBufs(t.host, dst, dgs)
 }
 
@@ -739,7 +715,11 @@ func (t *nodeTransport) SendToAggregator(dgs []*wire.Buf) {
 	sendBufs(t.host, t.c.aggHost.Addr(), dgs)
 }
 
+// SendToClient keeps the group stamp on responses so shard-aware
+// clients can attribute completions to groups without re-hashing the
+// key.
 func (t *nodeTransport) SendToClient(id r2p2.RequestID, dgs []*wire.Buf) {
+	t.stamp(dgs)
 	sendBufs(t.host, simnet.Addr(id.SrcIP), dgs)
 }
 
@@ -748,21 +728,23 @@ func (t *nodeTransport) SendFeedback(dgs []*wire.Buf) {
 		wire.ReleaseAll(dgs)
 		return
 	}
+	t.stamp(dgs)
 	sendBufs(t.host, t.c.flowHost.Addr(), dgs)
 }
 
+// aggTransport is the aggregator's transport (HovercRaft++, one group).
 type aggTransport struct{ c *Cluster }
 
 func (t *aggTransport) ForwardToFollowers(leader raft.NodeID, dgs []*wire.Buf) {
 	dst, ok := t.c.groupExcept[leader]
 	if !ok {
-		dst = t.c.groupAll
+		dst = t.c.Groups[0].addr
 	}
 	sendBufs(t.c.aggHost, dst, dgs)
 }
 
 func (t *aggTransport) Broadcast(dgs []*wire.Buf) {
-	sendBufs(t.c.aggHost, t.c.groupAll, dgs)
+	sendBufs(t.c.aggHost, t.c.Groups[0].addr, dgs)
 }
 
 func (t *aggTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
@@ -774,18 +756,45 @@ func (t *aggTransport) SendToNode(id raft.NodeID, dgs []*wire.Buf) {
 	sendBufs(t.c.aggHost, dst, dgs)
 }
 
-// onFlowPacket is the middlebox datapath.
+// onFlowPacket is the middlebox datapath: it demultiplexes on the R2P2
+// group byte, charges the group's own window, and rewrites the
+// destination to the group's multicast address. Requests tagged with a
+// group this deployment does not serve are NACKed with the GroupInvalid
+// sentinel so shard-aware clients refresh their map.
 func (c *Cluster) onFlowPacket(pkt *simnet.Packet) {
-	verdict, nack := c.Flow.HandleDatagram(pkt.Payload, uint32(pkt.Src), c.Sim.Now())
+	g := r2p2.GroupOf(pkt.Payload)
+	if int(g) >= len(c.Groups) {
+		// Group this deployment does not serve (stale or corrupt client
+		// map, or an unparseable frame): NACK first fragments of requests
+		// with the redirect sentinel, drop the rest.
+		var h r2p2.Header
+		if err := h.Unmarshal(pkt.Payload); err == nil &&
+			h.Type == r2p2.TypeRequest && h.Flags&r2p2.FlagFirst != 0 {
+			c.StaleNacks++
+			nack := r2p2.MakeNack(r2p2.IDOf(&h, uint32(pkt.Src)))
+			r2p2.SetGroup(nack, r2p2.GroupInvalid)
+			c.flowHost.Send(&simnet.Packet{Dst: pkt.Src, Payload: nack})
+			if c.opts.Obs.Active() {
+				c.opts.Obs.Emitf("flow", "stale_map", "redirected request for unknown group %d from %v", g, pkt.Src)
+			}
+		}
+		return
+	}
+	sg := c.Groups[g]
+	verdict, nack := sg.Flow.HandleDatagram(pkt.Payload, uint32(pkt.Src), c.Sim.Now())
 	switch verdict {
 	case core.VerdictForward:
-		// Rewrite destination to the cluster multicast group, keeping
+		// Rewrite destination to the group's multicast address, keeping
 		// the client's source address.
-		c.flowHost.SendFrom(&simnet.Packet{Src: pkt.Src, Dst: c.groupAll, Payload: pkt.Payload})
+		c.flowHost.SendFrom(&simnet.Packet{Src: pkt.Src, Dst: sg.addr, Payload: pkt.Payload})
 	case core.VerdictNack:
-		if c.Opts.Obs.Active() {
-			c.Opts.Obs.Emitf("flow", "nack", "middlebox nacked request from %v (window full)", pkt.Src)
+		if c.opts.Obs.Active() {
+			c.opts.Obs.Emitf("flow", "nack", "middlebox nacked request from %v (window full)", pkt.Src)
 		}
+		// Flow-control NACK: echo the request's own group so clients can
+		// tell back-pressure (retry later, same route) from staleness
+		// (refresh the map).
+		r2p2.SetGroup(nack, g)
 		c.flowHost.Send(&simnet.Packet{Dst: pkt.Src, Payload: nack})
 	}
 }

@@ -64,7 +64,7 @@ func TestVanillaRaftServing(t *testing.T) {
 	if res.Latency.P50 < 15*time.Microsecond {
 		t.Fatalf("p50 = %v implausibly fast for consensus", res.Latency.P50)
 	}
-	if c.Leader() == nil || c.Leader().ID != 1 {
+	if c.LeaderOf(0) == nil || c.LeaderOf(0).ID != 1 {
 		t.Fatal("bootstrap leader wrong")
 	}
 }
@@ -81,11 +81,11 @@ func TestHovercraftServing(t *testing.T) {
 		t.Fatalf("p99 = %v over SLO", res.Latency.P99)
 	}
 	// All three nodes applied the whole log (full replication).
-	lead := c.Leader()
+	lead := c.LeaderOf(0)
 	for _, n := range c.Nodes {
-		if n.Engine.Node().Log().Applied() < lead.Engine.Node().Log().Applied()*9/10 {
+		if n.Engines[0].Node().Log().Applied() < lead.Engines[0].Node().Log().Applied()*9/10 {
 			t.Fatalf("node %d lagging: %v vs %v", n.ID,
-				n.Engine.Node().Status(), lead.Engine.Node().Status())
+				n.Engines[0].Node().Status(), lead.Engines[0].Node().Status())
 		}
 	}
 }
@@ -104,8 +104,8 @@ func TestHovercraftPPServing(t *testing.T) {
 	if c.Agg.ForwardedAE == 0 || c.Agg.Commits == 0 {
 		t.Fatalf("aggregator idle: fwd=%d commits=%d", c.Agg.ForwardedAE, c.Agg.Commits)
 	}
-	lead := c.Leader()
-	if lead.Engine.Counters().Value("tx_agg_ae") == 0 {
+	lead := c.LeaderOf(0)
+	if lead.Engines[0].Counters().Value("tx_agg_ae") == 0 {
 		t.Fatal("leader not in group mode")
 	}
 }
@@ -120,10 +120,10 @@ func TestReplyLoadBalancingSpreadsReplies(t *testing.T) {
 	// Each node sent a meaningful share of replies.
 	var total uint64
 	for _, n := range c.Nodes {
-		total += n.Engine.Counters().Value("tx_resp")
+		total += n.Engines[0].Counters().Value("tx_resp")
 	}
 	for _, n := range c.Nodes {
-		replies := n.Engine.Counters().Value("tx_resp")
+		replies := n.Engines[0].Counters().Value("tx_resp")
 		if replies < total/10 {
 			t.Fatalf("node %d sent only %d of %d replies", n.ID, replies, total)
 		}
@@ -138,7 +138,7 @@ func TestDisableReplyLBAllFromLeader(t *testing.T) {
 		t.Fatalf("achieved %.0f of %.0f", res.Achieved, res.Offered)
 	}
 	for _, n := range c.Nodes {
-		replies := n.Engine.Counters().Value("tx_resp")
+		replies := n.Engines[0].Counters().Value("tx_resp")
 		if n.ID == 1 && replies == 0 {
 			t.Fatal("leader sent no replies")
 		}
@@ -161,7 +161,7 @@ func TestLeaderFailoverUnderLoad(t *testing.T) {
 	cl.Start()
 	// Kill the leader mid-run.
 	c.Sim.After(80*time.Millisecond, func() {
-		lead := c.Leader()
+		lead := c.LeaderOf(0)
 		if lead == nil {
 			t.Error("no leader to kill")
 			return
@@ -169,7 +169,7 @@ func TestLeaderFailoverUnderLoad(t *testing.T) {
 		lead.Crash()
 	})
 	c.Run(300 * time.Millisecond)
-	newLead := c.Leader()
+	newLead := c.LeaderOf(0)
 	if newLead == nil {
 		t.Fatal("no leader after failover")
 	}
@@ -226,7 +226,7 @@ func TestMulticastLossRecovery(t *testing.T) {
 	// Recovery actually ran on some node.
 	var recoveries uint64
 	for _, n := range c.Nodes {
-		recoveries += n.Engine.Counters().Value("tx_recovery_req")
+		recoveries += n.Engines[0].Counters().Value("tx_recovery_req")
 	}
 	if recoveries == 0 {
 		t.Fatal("no recovery traffic despite forced loss")
@@ -251,12 +251,12 @@ func TestCrashRestartCatchesUp(t *testing.T) {
 	})
 	c.Sim.After(120*time.Millisecond, func() { victim.Restart() })
 	c.Run(300 * time.Millisecond)
-	lead := c.Leader()
+	lead := c.LeaderOf(0)
 	if lead == nil {
 		t.Fatal("no leader")
 	}
-	if victim.Engine.Node().Log().Applied() < lead.Engine.Node().Log().Applied()*9/10 {
+	if victim.Engines[0].Node().Log().Applied() < lead.Engines[0].Node().Log().Applied()*9/10 {
 		t.Fatalf("restarted follower did not catch up: %v vs %v",
-			victim.Engine.Node().Status(), lead.Engine.Node().Status())
+			victim.Engines[0].Node().Status(), lead.Engines[0].Node().Status())
 	}
 }

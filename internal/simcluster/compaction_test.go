@@ -17,7 +17,7 @@ func TestLogCompactionUnderLoad(t *testing.T) {
 	c := New(Options{
 		Setup: SetupHovercraft, Nodes: 3, Seed: 21,
 		CompactEvery: 500,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := kvstore.New()
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -40,14 +40,14 @@ func TestLogCompactionUnderLoad(t *testing.T) {
 	// Compaction actually happened on every node and the retained log
 	// stayed bounded.
 	for _, n := range c.Nodes {
-		log := n.Engine.Node().Log()
+		log := n.Engines[0].Node().Log()
 		if log.SnapIndex() == 0 {
 			t.Fatalf("node %d never compacted (applied=%d)", n.ID, log.Applied())
 		}
 		if retained := log.LastIndex() - log.SnapIndex(); retained > 1200 {
 			t.Fatalf("node %d retains %d entries despite CompactEvery=500", n.ID, retained)
 		}
-		if n.Engine.Counters().Value("snap_taken") == 0 {
+		if n.Engines[0].Counters().Value("snap_taken") == 0 {
 			t.Fatalf("node %d took no snapshots", n.ID)
 		}
 	}
@@ -57,7 +57,7 @@ func TestSnapshotCatchupRestoresApplication(t *testing.T) {
 	c := New(Options{
 		Setup: SetupHovercraft, Nodes: 3, Seed: 22,
 		CompactEvery: 300,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := kvstore.New()
 			return s, app.FixedCost{Service: s, PerOp: time.Microsecond}
 		},
@@ -96,11 +96,11 @@ func TestSnapshotCatchupRestoresApplication(t *testing.T) {
 		t.Fatalf("only %d/1000 responses", responses)
 	}
 	n3 := c.Nodes[2]
-	if n3.Engine.Counters().Value("snap_restored") == 0 {
+	if n3.Engines[0].Counters().Value("snap_restored") == 0 {
 		t.Fatal("follower 3 was never restored from a snapshot")
 	}
 	// Application state equality: follower 3's store answers all keys.
-	store := n3.Service.(*kvstore.Store)
+	store := n3.Services[0].(*kvstore.Store)
 	missing := 0
 	for i := 0; i < 1000; i++ {
 		st, _ := kvstore.DecodeStatus(store.Execute(kvstore.EncodeGet(fmt.Sprintf("key%04d", i)), true))
@@ -111,9 +111,9 @@ func TestSnapshotCatchupRestoresApplication(t *testing.T) {
 	if missing > 0 {
 		t.Fatalf("follower 3 store missing %d/1000 keys after snapshot catch-up", missing)
 	}
-	lead := c.Leader()
-	if n3.Engine.Node().Log().Applied() < lead.Engine.Node().Log().Applied()*9/10 {
+	lead := c.LeaderOf(0)
+	if n3.Engines[0].Node().Log().Applied() < lead.Engines[0].Node().Log().Applied()*9/10 {
 		t.Fatalf("follower 3 lagging: %v vs %v",
-			n3.Engine.Node().Status(), lead.Engine.Node().Status())
+			n3.Engines[0].Node().Status(), lead.Engines[0].Node().Status())
 	}
 }

@@ -51,7 +51,7 @@ func (w *uniqueWorkload) Next(_ *rand.Rand) ([]byte, r2p2.Policy) {
 func TestExactlyOnceAcrossFailover(t *testing.T) {
 	c := New(Options{
 		Setup: SetupHovercraft, Nodes: 3, Seed: 41,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := newOpCountService()
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -73,7 +73,7 @@ func TestExactlyOnceAcrossFailover(t *testing.T) {
 	c.Start()
 	lg.Start()
 	c.Sim.After(50*time.Millisecond, func() {
-		if lead := c.Leader(); lead != nil {
+		if lead := c.LeaderOf(0); lead != nil {
 			lead.Crash()
 		}
 	})
@@ -91,7 +91,7 @@ func TestExactlyOnceAcrossFailover(t *testing.T) {
 		if n.Crashed() {
 			continue
 		}
-		svc := n.Service.(*opCountService)
+		svc := n.Services[0].(*opCountService)
 		if svc.dups != 0 {
 			t.Errorf("node %d double-applied %d ops", n.ID, svc.dups)
 		}
@@ -102,7 +102,7 @@ func TestExactlyOnceAcrossFailover(t *testing.T) {
 		if n.Crashed() {
 			continue
 		}
-		svc := n.Service.(*opCountService)
+		svc := n.Services[0].(*opCountService)
 		lost := 0
 		for op := range acked {
 			if svc.applied[op] == 0 {

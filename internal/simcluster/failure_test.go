@@ -29,16 +29,16 @@ func TestAggregatorFailureFallsBackAndRecovers(t *testing.T) {
 	var aggCommitsAtKill, aeAtKill uint64
 	c.Sim.After(100*time.Millisecond, func() {
 		// Verify group mode is in effect, then kill the aggregator.
-		lead := c.Leader()
+		lead := c.LeaderOf(0)
 		if lead == nil {
 			t.Error("no leader before aggregator kill")
 			return
 		}
-		if lead.Engine.Counters().Value("tx_agg_ae") == 0 {
+		if lead.Engines[0].Counters().Value("tx_agg_ae") == 0 {
 			t.Error("cluster never entered group mode before the kill")
 		}
 		aggCommitsAtKill = c.Agg.Commits
-		aeAtKill = lead.Engine.Counters().Value("tx_ae")
+		aeAtKill = lead.Engines[0].Counters().Value("tx_ae")
 		c.AggHost().Crash()
 	})
 	c.Sim.After(200*time.Millisecond, func() { c.AggHost().Restart() })
@@ -51,12 +51,12 @@ func TestAggregatorFailureFallsBackAndRecovers(t *testing.T) {
 		t.Fatalf("achieved %.0f of %.0f across aggregator outage (loss %.0f, nack %.0f)",
 			res.Achieved, res.Offered, res.LossRate, res.NackRate)
 	}
-	lead := c.Leader()
+	lead := c.LeaderOf(0)
 	if lead == nil {
 		t.Fatal("no leader at the end")
 	}
 	// During the outage the leader used direct point-to-point appends...
-	if lead.Engine.Counters().Value("tx_ae") <= aeAtKill {
+	if lead.Engines[0].Counters().Value("tx_ae") <= aeAtKill {
 		t.Fatal("leader never fell back to point-to-point appends")
 	}
 	// ...and after the restart, group mode resumed (fresh soft state).
@@ -67,13 +67,13 @@ func TestAggregatorFailureFallsBackAndRecovers(t *testing.T) {
 	// All survivors converge on the same applied state.
 	var maxApplied uint64
 	for _, n := range c.Nodes {
-		if a := n.Engine.Node().Log().Applied(); a > maxApplied {
+		if a := n.Engines[0].Node().Log().Applied(); a > maxApplied {
 			maxApplied = a
 		}
 	}
 	for _, n := range c.Nodes {
-		if n.Engine.Node().Log().Applied() < maxApplied*9/10 {
-			t.Fatalf("node %d lagging after recovery: %v", n.ID, n.Engine.Node().Status())
+		if n.Engines[0].Node().Log().Applied() < maxApplied*9/10 {
+			t.Fatalf("node %d lagging after recovery: %v", n.ID, n.Engines[0].Node().Status())
 		}
 	}
 }
@@ -96,12 +96,12 @@ func TestMinorityPartitionedLeaderCannotCommit(t *testing.T) {
 	var old *Node
 	var commitAtIsolation uint64
 	c.Sim.After(80*time.Millisecond, func() {
-		old = c.Leader()
+		old = c.LeaderOf(0)
 		if old == nil {
 			t.Error("no leader to isolate")
 			return
 		}
-		commitAtIsolation = old.Engine.Node().Log().Commit()
+		commitAtIsolation = old.Engines[0].Node().Log().Commit()
 		for _, n := range c.Nodes {
 			if n != old {
 				c.Net.Partition(old.Host.Addr(), n.Host.Addr())
@@ -117,25 +117,25 @@ func TestMinorityPartitionedLeaderCannotCommit(t *testing.T) {
 	// While isolated, the old leader could not commit: its commit index
 	// could only have advanced marginally (in-flight acks at the cut).
 	// By the end it must have rejoined at the new term.
-	newLead := c.Leader()
+	newLead := c.LeaderOf(0)
 	if newLead == nil {
 		t.Fatal("no leader after heal")
 	}
-	if newLead == old && newLead.Engine.Node().Term() == old.Engine.Node().Term() {
+	if newLead == old && newLead.Engines[0].Node().Term() == old.Engines[0].Node().Term() {
 		// It may legitimately win re-election after healing, but only
 		// at a higher term than the isolated one.
 		t.Fatalf("isolated leader still leading its old term")
 	}
 	// Majority side kept committing during the partition.
-	if newLead.Engine.Node().Log().Commit() <= commitAtIsolation+10 {
+	if newLead.Engines[0].Node().Log().Commit() <= commitAtIsolation+10 {
 		t.Fatalf("majority made no progress during partition: commit %d vs %d",
-			newLead.Engine.Node().Log().Commit(), commitAtIsolation)
+			newLead.Engines[0].Node().Log().Commit(), commitAtIsolation)
 	}
 	// Convergence after heal.
 	for _, n := range c.Nodes {
-		if n.Engine.Node().Log().Applied() < newLead.Engine.Node().Log().Applied()*9/10 {
+		if n.Engines[0].Node().Log().Applied() < newLead.Engines[0].Node().Log().Applied()*9/10 {
 			t.Fatalf("node %d did not converge: %v vs %v", n.ID,
-				n.Engine.Node().Status(), newLead.Engine.Node().Status())
+				n.Engines[0].Node().Status(), newLead.Engines[0].Node().Status())
 		}
 	}
 	res := cl.Result()

@@ -7,22 +7,22 @@ import (
 	"hovercraft/internal/simnet"
 )
 
-// clusterTarget adapts a single-group Cluster to fault.Target.
+// clusterTarget adapts a Cluster to fault.Target.
 type clusterTarget struct{ c *Cluster }
 
 // FaultTarget exposes the cluster to the fault injector:
 //
 //	inj := fault.Attach(c.Sim, c.FaultTarget(), schedule)
+//
+// LeaderIndex resolves group 0's leader; schedules wanting another
+// group's leader can target concrete node indexes via the placement.
 func (c *Cluster) FaultTarget() fault.Target { return clusterTarget{c} }
 
 func (t clusterTarget) NumNodes() int { return len(t.c.Nodes) }
 
 func (t clusterTarget) LeaderIndex() int {
-	lead := t.c.Leader()
-	for i, n := range t.c.Nodes {
-		if n == lead {
-			return i
-		}
+	if lead := t.c.LeaderOf(0); lead != nil {
+		return int(lead.ID) - 1
 	}
 	return -1
 }
@@ -32,7 +32,7 @@ func (t clusterTarget) Crash(i int)        { t.c.Nodes[i].Crash() }
 
 // Restart recovers through the WAL when the cluster persists one (the
 // realistic volatile-state-lost path, honoring torn), else resumes the
-// in-memory engine.
+// in-memory engines.
 func (t clusterTarget) Restart(i int, torn int) error {
 	n := t.c.Nodes[i]
 	if n.storage != nil {
@@ -51,45 +51,4 @@ func (t clusterTarget) SetCPUSlowdown(i int, factor float64) {
 
 func (t clusterTarget) SetFsyncDelay(i int, d time.Duration) {
 	t.c.Nodes[i].SetFsyncDelay(d)
-}
-
-// multiTarget adapts a sharded MultiCluster to fault.Target.
-type multiTarget struct{ c *MultiCluster }
-
-// FaultTarget exposes the sharded cluster to the fault injector.
-// LeaderIndex resolves group 0's leader; schedules wanting a specific
-// group's leader can target concrete node indexes via the placement.
-func (c *MultiCluster) FaultTarget() fault.Target { return multiTarget{c} }
-
-func (t multiTarget) NumNodes() int { return len(t.c.Nodes) }
-
-func (t multiTarget) LeaderIndex() int {
-	lead := t.c.LeaderOf(0)
-	for i, n := range t.c.Nodes {
-		if n == lead {
-			return i
-		}
-	}
-	return -1
-}
-
-func (t multiTarget) Crashed(i int) bool { return t.c.Nodes[i].Crashed() }
-func (t multiTarget) Crash(i int)        { t.c.Nodes[i].Crash() }
-
-// Restart resumes the in-memory engines (the multi-cluster pool does not
-// persist WALs; torn is ignored).
-func (t multiTarget) Restart(i int, _ int) error {
-	t.c.Nodes[i].Restart()
-	return nil
-}
-
-func (t multiTarget) Addr(i int) simnet.Addr   { return t.c.Nodes[i].Host.Addr() }
-func (t multiTarget) Network() *simnet.Network { return t.c.Net }
-
-func (t multiTarget) SetCPUSlowdown(i int, factor float64) {
-	t.c.Nodes[i].Host.SetCPUSlowdown(factor)
-}
-
-func (t multiTarget) SetFsyncDelay(i int, _ time.Duration) {
-	// No WAL in the sharded pool; fsync stalls degrade to a no-op.
 }

@@ -130,7 +130,7 @@ func runLinearizabilityScenario(t *testing.T, seed int64, failover bool) {
 	t.Helper()
 	c := New(Options{
 		Setup: SetupHovercraft, Nodes: 3, Seed: seed,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := &regService{}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -146,7 +146,7 @@ func runLinearizabilityScenario(t *testing.T, seed int64, failover bool) {
 	}
 	if failover {
 		c.Sim.After(60*time.Millisecond, func() {
-			if lead := c.Leader(); lead != nil {
+			if lead := c.LeaderOf(0); lead != nil {
 				lead.Crash()
 			}
 		})

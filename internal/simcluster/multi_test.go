@@ -18,7 +18,7 @@ func multiSynth(keys int) *loadgen.Synthetic {
 }
 
 func TestMultiClusterServing(t *testing.T) {
-	c := NewMulti(MultiOptions{Groups: 4, Nodes: 12, Replication: 3, Seed: 11})
+	c := New(Options{Setup: SetupHovercraft, Groups: 4, Nodes: 12, Replication: 3, Seed: 11})
 	router := shard.NewRouter(c.Map, nil)
 
 	warm, dur := 10*time.Millisecond, 60*time.Millisecond
@@ -90,7 +90,7 @@ func TestMultiClusterStaleMapRedirect(t *testing.T) {
 	// The client boots with a map for 4 groups; the deployment serves 2.
 	// Requests hashed to groups 2..3 must come back as GroupInvalid NACKs,
 	// the router must refresh, and the retried ops must complete.
-	c := NewMulti(MultiOptions{Groups: 2, Nodes: 6, Replication: 3, Seed: 12})
+	c := New(Options{Setup: SetupHovercraft, Groups: 2, Nodes: 6, Replication: 3, Seed: 12})
 	stale := shard.NewMapVersion(4, 1)
 	fresh := shard.NewMapVersion(2, 2)
 	router := shard.NewRouter(stale, func(uint64) *shard.Map { return fresh })

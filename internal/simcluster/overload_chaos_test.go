@@ -45,7 +45,7 @@ func overloadDrained(c *Cluster) bool {
 		if n.Crashed() {
 			continue
 		}
-		if cm := n.Engine.Node().Log().Commit(); cm > maxCommit {
+		if cm := n.Engines[0].Node().Log().Commit(); cm > maxCommit {
 			maxCommit = cm
 		}
 	}
@@ -53,7 +53,7 @@ func overloadDrained(c *Cluster) bool {
 		if n.Crashed() {
 			continue
 		}
-		log := n.Engine.Node().Log()
+		log := n.Engines[0].Node().Log()
 		if log.Commit() < maxCommit || log.Applied() < log.Commit() {
 			return false
 		}
@@ -76,7 +76,7 @@ func overloadChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 		FlowLimit:         512,
 		AdaptiveAdmission: true,
 		Admission:         admission.Config{Initial: 128},
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := &overloadChaosService{counts: make(map[string]int)}
 			return s, app.FixedCost{Service: s, PerOp: 10 * time.Microsecond}
 		},
@@ -143,7 +143,7 @@ func overloadChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 		}
 	}
 	for _, n := range live {
-		svc := n.Service.(*overloadChaosService)
+		svc := n.Services[0].(*overloadChaosService)
 		if svc.dups != 0 {
 			return 0, fmt.Errorf("node %d double-applied %d ops (faults: %s)", n.ID, svc.dups, inj.Log)
 		}
@@ -152,7 +152,7 @@ func overloadChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 	// Invariant 3: no acked-but-lost — every swarm op that saw a
 	// response survives in every live replica's state.
 	for _, n := range live {
-		svc := n.Service.(*overloadChaosService)
+		svc := n.Services[0].(*overloadChaosService)
 		lost := 0
 		for op := range acked {
 			if svc.counts[op] == 0 {
@@ -174,7 +174,7 @@ func overloadChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 		}
 	}
 	for _, n := range c.Nodes {
-		svc := n.Service.(*overloadChaosService)
+		svc := n.Services[0].(*overloadChaosService)
 		total := 0
 		for _, k := range svc.counts {
 			total += k
@@ -185,8 +185,8 @@ func overloadChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 	for _, line := range inj.Log {
 		fp.Add("%s", line)
 	}
-	if c.Admission != nil {
-		s := c.Admission.Snapshot()
+	if adm := c.Groups[0].Admission; adm != nil {
+		s := adm.Snapshot()
 		fp.Add("adm window=%d inc=%d dec=%d", s.Window, s.Increases, s.Decreases)
 	}
 	return fp.Sum(), nil

@@ -142,7 +142,7 @@ func (cl *readLoopClient) onPacket(pkt *simnet.Packet) {
 func staleReads(c *Cluster) uint64 {
 	var sum uint64
 	for _, n := range c.Nodes {
-		sum += n.Engine.Counters().Value("read_stale_served")
+		sum += n.Engines[0].Counters().Value("read_stale_served")
 	}
 	return sum
 }
@@ -151,8 +151,8 @@ func staleReads(c *Cluster) uint64 {
 func servedReads(c *Cluster) uint64 {
 	var sum uint64
 	for _, n := range c.Nodes {
-		sum += n.Engine.Counters().Value("read_leader_served")
-		sum += n.Engine.Counters().Value("read_follower_served")
+		sum += n.Engines[0].Counters().Value("read_leader_served")
+		sum += n.Engines[0].Counters().Value("read_follower_served")
 	}
 	return sum
 }
@@ -168,7 +168,7 @@ func readChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 		Setup: SetupHovercraft, Nodes: 3, Seed: seed, WAL: true,
 		ReadLease:           true,
 		ReadStalenessBudget: 100 * time.Microsecond,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := &regService{}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -202,7 +202,7 @@ func readChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 		}
 	}
 	for _, n := range c.Nodes {
-		cs := n.Engine.Counters()
+		cs := n.Engines[0].Counters()
 		fp.Add("n%d leader=%d follower=%d nacked=%d crashed=%v", n.ID,
 			cs.Value("read_leader_served"), cs.Value("read_follower_served"),
 			cs.Value("read_nacked"), n.Crashed())
@@ -324,7 +324,7 @@ func TestReadLeaseServesReads(t *testing.T) {
 		Setup: SetupHovercraft, Nodes: 3, Seed: 7, WAL: true,
 		ReadLease:           true,
 		ReadStalenessBudget: 100 * time.Microsecond,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := &regService{}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -343,7 +343,7 @@ func TestReadLeaseServesReads(t *testing.T) {
 	}
 	var follower uint64
 	for _, n := range c.Nodes {
-		follower += n.Engine.Counters().Value("read_follower_served")
+		follower += n.Engines[0].Counters().Value("read_follower_served")
 	}
 	if follower == 0 {
 		t.Fatal("no follower-served reads: scale-out path inert")

@@ -10,7 +10,7 @@ import (
 	"hovercraft/internal/shard"
 )
 
-// TestShardedClusterSurvivesFaultSchedule drives a sharded MultiCluster
+// TestShardedClusterSurvivesFaultSchedule drives a sharded Cluster
 // through a composite fault schedule — group-0 leader crash (and later
 // restart), a 1% packet-loss burst, and a partition/heal cycle on a
 // follower — and requires every per-key history to stay linearizable.
@@ -22,10 +22,12 @@ func TestShardedClusterSurvivesFaultSchedule(t *testing.T) {
 	}
 }
 
-func runShardChaosScenario(t *testing.T, seed int64) {
+// runShardChaosScenario returns a fingerprint of the run: every client
+// history and every replica's final raft status.
+func runShardChaosScenario(t *testing.T, seed int64) uint64 {
 	t.Helper()
-	c := NewMulti(MultiOptions{
-		Groups: 4, Nodes: 6, Replication: 3, Seed: seed,
+	c := New(Options{
+		Setup: SetupHovercraft, Groups: 4, Nodes: 6, Replication: 3, Seed: seed,
 		NewService: func(int) (app.Service, app.CostModel) {
 			s := &kregService{m: make(map[string][]byte)}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
@@ -86,4 +88,22 @@ func runShardChaosScenario(t *testing.T, seed int64) {
 	if len(groupsHit) < 2 {
 		t.Fatalf("seed %d: keyspace exercised only %d groups", seed, len(groupsHit))
 	}
+
+	fp := fault.NewFingerprint()
+	for ci, cl := range clients {
+		for i, op := range cl.history {
+			fp.Add("c%d %s %q %q %d %d %v", ci, cl.keys[i], op.Input, op.Output, op.Call, op.Return, op.Pending)
+		}
+	}
+	for _, n := range c.Nodes {
+		for g, e := range n.Engines {
+			if e != nil {
+				fp.Add("n%d g%d %v crashed=%v", n.ID, g, e.Node().Status(), n.Crashed())
+			}
+		}
+	}
+	for _, line := range inj.Log {
+		fp.Add("%s", line)
+	}
+	return fp.Sum()
 }

@@ -46,7 +46,7 @@ func kregPayload(write bool, key string, value []byte) []byte {
 // that key. Timed-out ops stay pending.
 type shardLoopClient struct {
 	id      int
-	c       *MultiCluster
+	c       *Cluster
 	router  *shard.Router
 	host    *simnet.Host
 	r2      *r2p2.Client
@@ -61,7 +61,7 @@ type shardLoopClient struct {
 	curReq    uint32
 }
 
-func newShardLoopClient(c *MultiCluster, router *shard.Router, id int, stopAt time.Duration) *shardLoopClient {
+func newShardLoopClient(c *Cluster, router *shard.Router, id int, stopAt time.Duration) *shardLoopClient {
 	cl := &shardLoopClient{
 		id: id, c: c, router: router,
 		host:      c.Net.NewHost(fmt.Sprintf("lclient%d", id), simnet.DefaultHostConfig()),
@@ -134,8 +134,8 @@ func (cl *shardLoopClient) onPacket(pkt *simnet.Packet) {
 
 func runShardLinearizabilityScenario(t *testing.T, seed int64, failover bool) {
 	t.Helper()
-	c := NewMulti(MultiOptions{
-		Groups: 4, Nodes: 6, Replication: 3, Seed: seed,
+	c := New(Options{
+		Setup: SetupHovercraft, Groups: 4, Nodes: 6, Replication: 3, Seed: seed,
 		NewService: func(int) (app.Service, app.CostModel) {
 			s := &kregService{m: make(map[string][]byte)}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}

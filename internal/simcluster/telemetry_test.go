@@ -29,7 +29,7 @@ func telemetryCluster(t *testing.T, seed int64) *Cluster {
 // and rotations are exact).
 func TestSimTelemetryRecords(t *testing.T) {
 	c := telemetryCluster(t, 11)
-	leader := c.Leader()
+	leader := c.LeaderOf(0)
 	if leader == nil {
 		t.Fatal("no leader")
 	}

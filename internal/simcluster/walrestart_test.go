@@ -17,7 +17,7 @@ func runWALRestartScenario(t *testing.T, seed int64, killLeader bool, tornBytes 
 	t.Helper()
 	c := New(Options{
 		Setup: SetupHovercraft, Nodes: 3, Seed: seed, WAL: true,
-		NewService: func() (app.Service, app.CostModel) {
+		NewService: func(int) (app.Service, app.CostModel) {
 			s := &regService{}
 			return s, app.FixedCost{Service: s, PerOp: 2 * time.Microsecond}
 		},
@@ -34,9 +34,9 @@ func runWALRestartScenario(t *testing.T, seed int64, killLeader bool, tornBytes 
 	var victim *Node
 	c.Sim.After(40*time.Millisecond, func() {
 		if killLeader {
-			victim = c.Leader()
+			victim = c.LeaderOf(0)
 		} else {
-			lead := c.Leader()
+			lead := c.LeaderOf(0)
 			for _, n := range c.Nodes {
 				if n != lead {
 					victim = n
@@ -83,11 +83,11 @@ func runWALRestartScenario(t *testing.T, seed int64, killLeader bool, tornBytes 
 	want := ""
 	for _, n := range c.Nodes {
 		if n != victim && !n.Crashed() {
-			want = string(n.Service.(*regService).v)
+			want = string(n.Services[0].(*regService).v)
 			break
 		}
 	}
-	got := string(victim.Service.(*regService).v)
+	got := string(victim.Services[0].(*regService).v)
 	if !bytes.Equal([]byte(got), []byte(want)) {
 		t.Fatalf("seed %d: recovered node diverged: got %q want %q", seed, got, want)
 	}

@@ -9,9 +9,7 @@ import (
 	"time"
 
 	"hovercraft/internal/core"
-	"hovercraft/internal/r2p2"
 	"hovercraft/internal/raft"
-	"hovercraft/internal/runtime"
 )
 
 // BenchmarkLoopbackUDPThroughput drives a 3-node HovercRaft cluster over
@@ -191,131 +189,6 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 	if got < uint64(total)*9/10 {
 		b.Fatalf("received %d of %d datagrams; loopback dropped past the window", got, total)
 	}
-}
-
-// countSink counts dispatched messages; written only from its owning
-// loop's execution context.
-type countSink struct{ n uint64 }
-
-func (c *countSink) HandleMessage(m *r2p2.Msg) { c.n++ }
-
-// benchLoopCores runs the per-core engine-shard plane in isolation: N
-// owning loops, one goroutine each, ingesting pre-encoded request
-// datagrams run-to-completion through a real r2p2 driver. One in eight
-// datagrams is handed to the neighbor core through the SPSC mailbox —
-// the cross-core path a deployment hits whenever the kernel's
-// reuseport hash disagrees with core ownership. Returns aggregate
-// datagrams/second; fails if any datagram is lost in handoff.
-func benchLoopCores(b *testing.B, cores, perCore int) float64 {
-	b.Helper()
-	const handoffEvery = 8
-	sinks := make([]*countSink, cores)
-	owners := make([]*runtime.Loop, cores)
-	for i := 0; i < cores; i++ {
-		sink := &countSink{}
-		sinks[i] = sink
-		drv := runtime.New(sink, runtime.Options{Now: func() time.Duration { return 0 }})
-		owners[i] = runtime.NewLoop(runtime.LoopOptions{
-			Core: i,
-			Deliver: func(dg []byte, src uint32, port uint16, owned bool) {
-				if owned {
-					drv.Ingest(dg, src)
-				} else {
-					drv.IngestBorrowed(dg, src)
-				}
-			},
-		})
-	}
-	// Forwarding handles, one per core into its neighbor. The ring is
-	// sized for every handoff this run can produce so a scheduling stall
-	// can never drop (the benchmark asserts full delivery).
-	fwds := make([]*runtime.Loop, cores)
-	if cores > 1 {
-		for i := 0; i < cores; i++ {
-			fwds[i] = runtime.NewLoop(runtime.LoopOptions{
-				Core:       i,
-				Owner:      owners[(i+1)%cores],
-				MailboxCap: perCore/handoffEvery + 64,
-			})
-		}
-	}
-	dgs := r2p2.MakeMsg(r2p2.TypeRequest, r2p2.PolicyUnrestricted, 7, 1, make([]byte, 32), 0)
-	if len(dgs) != 1 {
-		b.Fatal("want a single-fragment datagram")
-	}
-	dg := dgs[0]
-
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < cores; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			own, fwd := owners[i], fwds[i]
-			src := uint32(i + 1)
-			for j := 0; j < perCore; j++ {
-				if fwd != nil && j%handoffEvery == 0 {
-					fwd.Ingest(dg, src, 7)
-				} else {
-					own.Ingest(dg, src, 7)
-				}
-				if j%64 == 63 {
-					own.Advance()
-				}
-			}
-			own.Advance()
-		}(i)
-	}
-	wg.Wait()
-	// Producers are done (wg gives happens-before), so draining the tail
-	// handoffs sequentially from here respects the single-owner contract.
-	for _, o := range owners {
-		o.Advance()
-	}
-	elapsed := time.Since(start)
-	var total uint64
-	for _, s := range sinks {
-		total += s.n
-	}
-	if total != uint64(cores*perCore) {
-		b.Fatalf("delivered %d of %d datagrams", total, cores*perCore)
-	}
-	return float64(total) / elapsed.Seconds()
-}
-
-// BenchmarkLoopCores is the engine-shard scaling matrix: aggregate
-// datagram throughput of 1, 2, and 4 per-core loops. No sockets — this
-// isolates the run-to-completion dispatch and mailbox handoff that the
-// refactor moved off the global engine mutex.
-func BenchmarkLoopCores(b *testing.B) {
-	for _, cores := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("cores=%d", cores), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			rate := benchLoopCores(b, cores, b.N)
-			b.StopTimer()
-			b.ReportMetric(rate, "dg/s")
-		})
-	}
-}
-
-// BenchmarkLoopCoresScaling condenses the matrix into one
-// machine-portable gated unit: 4-core aggregate throughput over
-// 1-core (dgps_x4_over_x1). benchcheck gates it lower-is-worse — a
-// drop means the shards started contending again. The committed floor
-// only bites on hardware with the parallelism the baseline was
-// recorded on: regenerate BENCH_dataplane.json on a >=4-CPU machine to
-// arm the >=2.5x scaling target; a single-CPU run records ~1.0 and
-// gates only against the shards slowing each other down.
-func BenchmarkLoopCoresScaling(b *testing.B) {
-	perCore := b.N
-	if perCore < 4096 {
-		perCore = 4096
-	}
-	benchLoopCores(b, 1, 2048) // warm allocators and code paths
-	base := benchLoopCores(b, 1, perCore)
-	quad := benchLoopCores(b, 4, perCore)
-	b.ReportMetric(quad/base, "dgps_x4_over_x1")
 }
 
 // BenchmarkLoopbackDurableThroughput runs a 3-node cluster whose WALs
