@@ -58,7 +58,7 @@ E2E_WORKLOADS := write_open_2k write_sat_128 readmix_open_12k durable_open_2k
 
 .PHONY: all build test race bench bench-check bench-dataplane bench-dataplane-check \
 	bench-overload bench-overload-check bench-readscale bench-readscale-check \
-	bench-e2e latency-smoke smoke-overload smoke-readscale experiments
+	bench-e2e latency-smoke smoke-overload smoke-readscale experiments profile-sat
 
 all: build test
 
@@ -126,6 +126,21 @@ bench-e2e:
 
 latency-smoke:
 	bash scripts/latency_smoke.sh
+
+# The saturated write path's profile: BenchmarkLoopbackUDPSaturated
+# (write_sat_128's shape: 3 nodes, kvstore, 128 closed-loop writers over
+# 2 client sockets) for 10 s under the CPU and memory profilers, then
+# the top 20 of each. The test binary and profiles go to PROFILE_DIR.
+PROFILE_DIR ?= $(or $(TMPDIR),/tmp)/hovercraft-profile
+
+profile-sat:
+	mkdir -p $(PROFILE_DIR)
+	$(GO) test -run '^$$' -bench LoopbackUDPSaturated -benchtime 10s -benchmem \
+		-o $(PROFILE_DIR)/transport.test -outputdir $(PROFILE_DIR) \
+		-cpuprofile sat.cpu -memprofile sat.mem ./internal/transport
+	$(GO) tool pprof -top -nodecount 20 $(PROFILE_DIR)/transport.test $(PROFILE_DIR)/sat.cpu
+	$(GO) tool pprof -top -nodecount 20 -sample_index alloc_objects \
+		$(PROFILE_DIR)/transport.test $(PROFILE_DIR)/sat.mem
 
 smoke-overload:
 	bash scripts/overload_smoke.sh

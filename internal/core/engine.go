@@ -277,6 +277,17 @@ type Engine struct {
 	// (see resume).
 	applyBusy bool
 	inRun     bool
+	// The operation in execution and its completions, bound once in
+	// NewEngine: Run gets a method value, not a closure per operation.
+	// One operation runs at a time (applyBusy), so one slot suffices.
+	cur       raft.Entry // the committed entry executing (a copy: the log slot may be truncated meanwhile)
+	curTraced bool
+	curRead   r2p2.RequestID // the lin-read executing
+	applyDone func(reply []byte)
+	readDone  func(reply []byte)
+	// rxRaft is the decode scratch for inbound raft messages, valid for
+	// one handleRaft step.
+	rxRaft raft.Message
 	// Commit→execution-start timestamps (telemetry only): entries are
 	// stamped when the engine learns they committed and popped when
 	// their execution starts, measuring the QApplyQueue stage. FIFO in
@@ -381,6 +392,8 @@ func NewEngine(cfg Config, transport Transport, runner AppRunner) *Engine {
 	if cfg.DedupWindow > 0 {
 		e.dedup = NewDedupCache(cfg.DedupWindow)
 	}
+	e.applyDone = e.finishApply
+	e.readDone = e.finishRead
 	e.aeBoundary = e.counters.Describe("tx_ae_boundary",
 		"AppendEntries emitted at a run-to-completion loop boundary (EndBatch, ack-clocked): the replication clock of the UDP plane.")
 	e.aeTick = e.counters.Describe("tx_ae_tick",
@@ -653,6 +666,16 @@ func (e *Engine) shouldAnswerDup(replier raft.NodeID) bool {
 // --- consensus messages -------------------------------------------------
 
 func (e *Engine) handleConsensus(m *r2p2.Msg, viaAgg bool) {
+	if len(m.Payload) > 0 && m.Payload[0] == envRaft {
+		// The common case, decoded into the engine's scratch message:
+		// Step copies what it keeps (the log copies entries by value).
+		if err := raft.DecodeMessageInto(m.Payload[1:], &e.rxRaft); err != nil {
+			e.counters.Get("rx_bad_envelope").Inc()
+			return
+		}
+		e.handleRaft(&e.rxRaft, viaAgg)
+		return
+	}
 	env, err := DecodeEnvelope(m.Payload)
 	if err != nil {
 		e.counters.Get("rx_bad_envelope").Inc()
@@ -1326,38 +1349,42 @@ func (e *Engine) maybeApply() {
 				e.tel.Record(obs.QApplyQueue, wait)
 			}
 		}
-		entry := *le // capture: the log slot may be truncated meanwhile
+		e.cur = *le
 		// Only the replier's execution is part of the traced request
 		// path (read-write entries execute on every node).
-		traced := e.obs.Active() && entry.Replier == e.cfg.ID
-		if traced {
-			e.obs.Stage(entry.ID, obs.StageApplyStart)
+		e.curTraced = e.obs.Active() && le.Replier == e.cfg.ID
+		if e.curTraced {
+			e.obs.Stage(le.ID, obs.StageApplyStart)
 		}
-		e.run(entry.Data, entry.Kind == raft.KindReadOnly, func(reply []byte) {
-			e.applyBusy = false
-			if traced {
-				e.obs.Stage(entry.ID, obs.StageApplyDone)
-			}
-			// A snapshot restore may have advanced applied past this
-			// entry while it executed; its result is still valid
-			// (computed on consistent pre-restore state) but the
-			// applied index must not regress.
-			if entry.Index > log.Applied() {
-				e.markApplied(entry.Index)
-			}
-			if e.dedup != nil && entry.Kind == raft.KindReadWrite {
-				r := reply
-				if r == nil {
-					r = []byte{} // nil means "reply unknown" in the cache
-				}
-				e.dedup.Record(entry.ID, r, entry.Replier)
-			}
-			if entry.Replier == e.cfg.ID {
-				e.reply(entry.ID, reply)
-			}
-			e.resume()
-		})
+		e.run(e.cur.Data, e.cur.Kind == raft.KindReadOnly, e.applyDone)
 	}
+}
+
+// finishApply is the completion of the committed entry in e.cur.
+func (e *Engine) finishApply(reply []byte) {
+	e.applyBusy = false
+	entry := &e.cur
+	if e.curTraced {
+		e.obs.Stage(entry.ID, obs.StageApplyDone)
+	}
+	// A snapshot restore may have advanced applied past this entry
+	// while it executed; its result is still valid (computed on
+	// consistent pre-restore state) but the applied index must not
+	// regress.
+	if entry.Index > e.node.Log().Applied() {
+		e.markApplied(entry.Index)
+	}
+	if e.dedup != nil && entry.Kind == raft.KindReadWrite {
+		r := reply
+		if r == nil {
+			r = []byte{} // nil means "reply unknown" in the cache
+		}
+		e.dedup.Record(entry.ID, r, entry.Replier)
+	}
+	if entry.Replier == e.cfg.ID {
+		e.reply(entry.ID, reply)
+	}
+	e.resume()
 }
 
 // run hands one operation to the runner.

@@ -35,6 +35,7 @@ type BoundedQueues struct {
 	bound int
 	q     map[raft.NodeID][]uint64 // FIFO of assigned log indices
 	nodes []raft.NodeID
+	pick  []raft.NodeID // Select's candidate scratch, reused per call
 }
 
 // NewBoundedQueues creates queues for the given nodes with bound B.
@@ -110,7 +111,7 @@ func (b *BoundedQueues) Select(policy SelectPolicy, rng *rand.Rand, alive func(r
 		// Collect all minimum-depth eligible nodes and break ties
 		// randomly — a deterministic tie-break would pin all work to
 		// one node whenever queues drain faster than they fill.
-		var mins []raft.NodeID
+		mins := b.pick[:0]
 		bestDepth := 0
 		for _, n := range b.nodes {
 			if !alive(n) || !b.Eligible(n) {
@@ -125,17 +126,19 @@ func (b *BoundedQueues) Select(policy SelectPolicy, rng *rand.Rand, alive func(r
 				mins = append(mins, n)
 			}
 		}
+		b.pick = mins
 		if len(mins) == 0 {
 			return raft.None, false
 		}
 		return mins[rng.Intn(len(mins))], true
 	default: // PolicyRandom
-		eligible := make([]raft.NodeID, 0, len(b.nodes))
+		eligible := b.pick[:0]
 		for _, n := range b.nodes {
 			if alive(n) && b.Eligible(n) {
 				eligible = append(eligible, n)
 			}
 		}
+		b.pick = eligible
 		if len(eligible) == 0 {
 			return raft.None, false
 		}

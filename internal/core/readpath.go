@@ -249,13 +249,16 @@ func (e *Engine) serveReads() {
 		if e.tel.Active() {
 			e.tel.Record(obs.QReadIndex, e.now-pr.enqNow)
 		}
-		id := pr.id
-		e.run(pr.payload, true, func(reply []byte) {
-			e.applyBusy = false
-			e.replyRead(id, reply)
-			e.resume()
-		})
+		e.curRead = pr.id
+		e.run(pr.payload, true, e.readDone)
 	}
+}
+
+// finishRead is the completion of the lin-read in e.curRead.
+func (e *Engine) finishRead(reply []byte) {
+	e.applyBusy = false
+	e.replyRead(e.curRead, reply)
+	e.resume()
 }
 
 func (e *Engine) popRead() {

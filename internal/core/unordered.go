@@ -22,9 +22,11 @@ type unorderedEntry struct {
 // yet been ordered by an AppendEntries (paper §3.2). Requests are indexed
 // by the R2P2 3-tuple; lingering requests are garbage collected after a
 // timeout (early GC is safe — it merely re-triggers recovery, §5).
+// Entries are stored by value: every request body passes through here
+// on every replica, and the map reuses its slots as bodies come and go.
 type UnorderedStore struct {
 	timeout time.Duration
-	m       map[r2p2.RequestID]*unorderedEntry
+	m       map[r2p2.RequestID]unorderedEntry
 	nextSeq uint64
 
 	// Stats.
@@ -34,7 +36,7 @@ type UnorderedStore struct {
 
 // NewUnorderedStore returns a store with the given GC timeout.
 func NewUnorderedStore(timeout time.Duration) *UnorderedStore {
-	return &UnorderedStore{timeout: timeout, m: make(map[r2p2.RequestID]*unorderedEntry)}
+	return &UnorderedStore{timeout: timeout, m: make(map[r2p2.RequestID]unorderedEntry)}
 }
 
 // Put parks a request body. Duplicate IDs are ignored (first copy wins;
@@ -44,7 +46,7 @@ func (u *UnorderedStore) Put(id r2p2.RequestID, policy r2p2.Policy, data []byte,
 		return
 	}
 	u.nextSeq++
-	u.m[id] = &unorderedEntry{
+	u.m[id] = unorderedEntry{
 		policy:   policy,
 		data:     data,
 		hash:     raft.Hash64(data),
@@ -99,7 +101,7 @@ func (u *UnorderedStore) Drain() []raft.Entry {
 	for i := range all {
 		out[i] = all[i].ent
 	}
-	u.m = make(map[r2p2.RequestID]*unorderedEntry)
+	u.m = make(map[r2p2.RequestID]unorderedEntry)
 	return out
 }
 

@@ -49,20 +49,20 @@ func (b *BufferStorage) AppendEntries(entries []Entry) {
 }
 
 // SaveSnapshot implements Storage with FileStorage's semantics: the
-// snapshot replaces the WAL, and the pre-reset term/vote is re-recorded
-// so it survives the truncation.
+// snapshot replaces the WAL's prefix, and the rewritten WAL re-records
+// the term/vote and every entry above index.
 func (b *BufferStorage) SaveSnapshot(index, term uint64, data []byte) {
-	rs := &RecoveredState{}
-	_ = replayWALBytes(b.wal, rs)
+	rs := &RecoveredState{SnapIdx: b.snapIdx}
+	_, _ = replayWALBytes(b.wal, rs)
 	b.hasSnap = true
 	b.snapIdx = index
 	b.snapTerm = term
 	b.snapData = append([]byte(nil), data...)
-	b.wal = b.wal[:0]
-	var body [12]byte
-	binary.BigEndian.PutUint64(body[0:8], rs.Term)
-	binary.BigEndian.PutUint32(body[8:12], uint32(rs.Vote))
-	b.append(recState, body[:])
+	gen, _ := rs.compacted(index, term)
+	b.wal = append(b.wal[:0], gen...)
+	if b.OnAppend != nil {
+		b.OnAppend(len(gen))
+	}
 }
 
 // WALLen returns the current framed WAL size in bytes.
@@ -82,9 +82,9 @@ func (b *BufferStorage) TruncateTail(n int) {
 }
 
 // Recover replays the snapshot and WAL into a RecoveredState, exactly as
-// OpenFileStorage would after a crash. The storage itself is unchanged
-// and keeps accepting appends (the restarted node continues on the same
-// log).
+// OpenFileStorage would after a crash, and like it cuts a torn tail off
+// the WAL. The storage keeps accepting appends (the restarted node
+// continues on the same log).
 func (b *BufferStorage) Recover() (*RecoveredState, error) {
 	rs := &RecoveredState{}
 	if b.hasSnap {
@@ -92,8 +92,10 @@ func (b *BufferStorage) Recover() (*RecoveredState, error) {
 		rs.SnapTerm = b.snapTerm
 		rs.SnapData = append([]byte(nil), b.snapData...)
 	}
-	if err := replayWALBytes(b.wal, rs); err != nil {
+	valid, err := replayWALBytes(b.wal, rs)
+	if err != nil {
 		return nil, err
 	}
+	b.wal = b.wal[:valid]
 	return rs, nil
 }

@@ -338,7 +338,7 @@ func (n *Node) Propose(e Entry) (uint64, error) {
 
 func (n *Node) appendLocal(e Entry) uint64 {
 	idx := n.log.Append(e)
-	n.cfg.Storage.AppendEntries(n.log.Slice(idx, idx, 0))
+	n.cfg.Storage.AppendEntries(n.log.View(idx, idx, 1, 0))
 	n.prs[n.cfg.ID].Match = idx
 	n.prs[n.cfg.ID].Next = idx + 1
 	n.maybeCommit()

@@ -12,7 +12,9 @@ type Storage interface {
 	SaveState(term uint64, vote NodeID)
 	// AppendEntries persists newly appended entries. Entries may
 	// overwrite previously persisted ones at the same indices
-	// (log truncation on conflict is expressed as overwrite).
+	// (log truncation on conflict is expressed as overwrite). The slice
+	// may be a view into the log's own storage, valid only for the
+	// call: an implementation that keeps entries copies them.
 	AppendEntries(entries []Entry)
 	// SaveSnapshot persists a snapshot; entries at or below index are
 	// no longer needed.

@@ -17,8 +17,10 @@ import (
 //	<dir>/snapshot — latest snapshot (index, term, application blob)
 //
 // Records are CRC-framed; a torn tail (crash mid-write) is detected and
-// discarded on recovery. SaveSnapshot atomically replaces the snapshot
-// file and resets the WAL, discarding entries the snapshot covers.
+// discarded on recovery, and cut off the file at open so later records
+// do not land behind it. SaveSnapshot atomically replaces the snapshot
+// file and rewrites the WAL without the entries the snapshot covers: it
+// keeps the term/vote and every entry above the snapshot index.
 //
 // With Sync enabled every record is fsynced before returning, giving the
 // classical Raft durability guarantee. The paper's µs-scale setting
@@ -33,10 +35,11 @@ import (
 // pair instead of one write+fsync each. Zero group-commit parameters
 // preserve the classical per-record write(+sync) path bit-for-bit.
 type FileStorage struct {
-	mu   sync.Mutex
-	dir  string
-	wal  *os.File
-	Sync bool
+	mu      sync.Mutex
+	dir     string
+	wal     *os.File
+	Sync    bool
+	snapIdx uint64 // index of the snapshot on disk (0: none)
 
 	// Group commit state: pend holds framed-but-unwritten records.
 	maxBatch  int           // stage at most this many records (<=1: off)
@@ -84,14 +87,28 @@ func OpenFileStorage(dir string, sync bool) (*FileStorage, *RecoveredState, erro
 		return nil, nil, err
 	}
 	walPath := filepath.Join(dir, "wal")
-	if err := replayWAL(walPath, rs); err != nil {
+	valid, size, err := replayWAL(walPath, rs)
+	if err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(walPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("raft: open wal: %w", err)
 	}
-	return &FileStorage{dir: dir, wal: f, Sync: sync}, rs, nil
+	if valid < size {
+		// Cut the torn tail before the first append: records written
+		// behind it would be unreachable to the next replay, which stops
+		// at the torn bytes.
+		if err := f.Truncate(int64(valid)); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("raft: truncate torn wal tail: %w", err)
+		}
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return nil, nil, fmt.Errorf("raft: sync truncated wal: %w", err)
+		}
+	}
+	return &FileStorage{dir: dir, wal: f, Sync: sync, snapIdx: rs.SnapIdx}, rs, nil
 }
 
 // Close flushes staged records and releases the WAL file handle.
@@ -243,12 +260,14 @@ func (s *FileStorage) AppendEntries(entries []Entry) {
 	}
 }
 
-// SaveSnapshot implements Storage: atomically replace the snapshot and
-// reset the WAL (entries at or below index are covered by the snapshot;
-// later entries are re-sent by the leader if needed — the in-memory log
-// still has them, and crash recovery from (snapshot + empty WAL) is a
-// legal, if conservative, Raft state as long as term/vote survive, which
-// the fresh WAL's state record guarantees).
+// SaveSnapshot implements Storage: atomically replace the snapshot, then
+// rewrite the WAL without the entries the snapshot covers. The rewritten
+// WAL holds the current term/vote and every entry above index (see
+// RecoveredState.entriesAfter) — entries this node may already have
+// acknowledged, which a crash must not take back. The new WAL is built
+// in a temporary file and renamed into place, so a crash mid-rewrite
+// leaves the old WAL, whose replay over the new snapshot skips the
+// entries the snapshot covers.
 func (s *FileStorage) SaveSnapshot(index, term uint64, data []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -266,30 +285,72 @@ func (s *FileStorage) SaveSnapshot(index, term uint64, data []byte) {
 	if err := os.Rename(snapTmp, filepath.Join(s.dir, "snapshot")); err != nil {
 		panic(fmt.Sprintf("raft: snapshot rename: %v", err))
 	}
-	// Reset the WAL. The current term/vote must be re-recorded; the
-	// caller's next SaveState would race a crash window otherwise, so
-	// we preserve the last state record by replaying our own file
-	// before truncation.
-	rs := &RecoveredState{}
-	_ = replayWAL(filepath.Join(s.dir, "wal"), rs)
-	s.wal.Close()
-	f, err := os.OpenFile(filepath.Join(s.dir, "wal"), os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		panic(fmt.Sprintf("raft: wal reset: %v", err))
+	// Rewrite the WAL from a replay of our own file: term/vote and the
+	// entries above index carry over.
+	walPath := filepath.Join(s.dir, "wal")
+	rs := &RecoveredState{SnapIdx: s.snapIdx}
+	if _, _, err := replayWAL(walPath, rs); err != nil {
+		panic(fmt.Sprintf("raft: wal replay for snapshot: %v", err))
 	}
+	gen, recs := rs.compacted(index, term)
+	tmp := walPath + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		panic(fmt.Sprintf("raft: wal rewrite: %v", err))
+	}
+	if _, err := f.Write(gen); err != nil {
+		panic(fmt.Sprintf("raft: wal rewrite write: %v", err))
+	}
+	if s.Sync {
+		if err := f.Sync(); err != nil {
+			panic(fmt.Sprintf("raft: wal rewrite sync: %v", err))
+		}
+		s.syncs++
+	}
+	if err := os.Rename(tmp, walPath); err != nil {
+		panic(fmt.Sprintf("raft: wal rewrite rename: %v", err))
+	}
+	// f is positioned at the end of the new WAL, so later appends land
+	// behind the records it was built with.
+	s.wal.Close()
 	s.wal = f
+	s.snapIdx = index
+	s.recs, s.durable = uint64(recs), uint64(recs)
+}
+
+// compacted encodes the WAL generation that follows a snapshot at
+// (index, term): a state record carrying rs's term/vote, then every
+// entry after the snapshot. It returns the framed bytes and how many
+// records they hold.
+func (rs *RecoveredState) compacted(index, term uint64) ([]byte, int) {
 	var body [12]byte
 	binary.BigEndian.PutUint64(body[0:8], rs.Term)
 	binary.BigEndian.PutUint32(body[8:12], uint32(rs.Vote))
-	if _, err := s.wal.Write(frame(recState, body[:])); err != nil {
-		panic(fmt.Sprintf("raft: wal reset write: %v", err))
+	out := appendFrame(nil, recState, body[:])
+	keep := rs.entriesAfter(index, term)
+	for i := range keep {
+		out = appendFrame(out, recEntry, EncodeEntry(&keep[i], nil))
 	}
-	if s.Sync {
-		_ = s.wal.Sync()
-		s.syncs++
+	return out, 1 + len(keep)
+}
+
+// entriesAfter returns the replayed entries that follow a snapshot at
+// (index, term): those above index, provided the entry at index has the
+// snapshot's term, i.e. the log extends the snapshot. A suffix that
+// diverges from it (a follower installing its leader's snapshot over
+// conflicting entries) is dropped, as Raft's InstallSnapshot discards
+// the log unless it holds the snapshot's last entry. A snapshot is
+// always above the previous one (raft compacts or installs only past
+// its snapshot index), so the entry at index, if any, is in rs.Entries.
+func (rs *RecoveredState) entriesAfter(index, term uint64) []Entry {
+	if index <= rs.SnapIdx {
+		return nil
 	}
-	// The fresh WAL generation holds exactly the re-recorded state.
-	s.recs, s.durable = 1, 1
+	n := index - rs.SnapIdx // entries up to and including index
+	if n > uint64(len(rs.Entries)) || rs.Entries[n-1].Term != term {
+		return nil
+	}
+	return rs.Entries[n:]
 }
 
 func loadSnapshotFile(path string, rs *RecoveredState) error {
@@ -310,55 +371,60 @@ func loadSnapshotFile(path string, rs *RecoveredState) error {
 }
 
 // replayWAL folds the WAL file into rs. A torn final record is
-// discarded; corruption before the tail is an error.
-func replayWAL(path string, rs *RecoveredState) error {
+// discarded; corruption before the tail is an error. It returns the
+// length of the valid record prefix and the file's size.
+func replayWAL(path string, rs *RecoveredState) (valid, size int, err error) {
 	blob, err := os.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("raft: read wal: %w", err)
+		return 0, 0, fmt.Errorf("raft: read wal: %w", err)
 	}
-	return replayWALBytes(blob, rs)
+	valid, err = replayWALBytes(blob, rs)
+	return valid, len(blob), err
 }
 
 // replayWALBytes folds a framed WAL byte stream into rs — shared by the
 // file-backed and in-memory storages so both recover with identical
-// torn-tail and corruption semantics.
-func replayWALBytes(blob []byte, rs *RecoveredState) error {
-	for len(blob) > 0 {
-		if len(blob) < 4 {
-			return nil // torn tail
+// torn-tail and corruption semantics. It returns the length of the
+// valid prefix: everything from there on is a torn tail.
+func replayWALBytes(blob []byte, rs *RecoveredState) (int, error) {
+	off := 0
+	for off < len(blob) {
+		rest := blob[off:]
+		if len(rest) < 4 {
+			return off, nil // torn tail
 		}
-		n := int(binary.BigEndian.Uint32(blob[0:4]))
-		if n < 1 || len(blob) < 4+n+4 {
-			return nil // torn tail
+		n := int(binary.BigEndian.Uint32(rest[0:4]))
+		if n < 1 || len(rest) < 4+n+4 {
+			return off, nil // torn tail
 		}
-		payload := blob[4 : 4+n]
-		want := binary.BigEndian.Uint32(blob[4+n : 8+n])
+		payload := rest[4 : 4+n]
+		want := binary.BigEndian.Uint32(rest[4+n : 8+n])
 		if crc32.ChecksumIEEE(payload) != want {
-			return nil // torn tail (partial overwrite)
+			return off, nil // torn tail (partial overwrite)
 		}
 		typ, body := payload[0], payload[1:]
 		switch typ {
 		case recState:
 			if len(body) != 12 {
-				return fmt.Errorf("%w: state record", ErrCorrupt)
+				return off, fmt.Errorf("%w: state record", ErrCorrupt)
 			}
 			rs.Term = binary.BigEndian.Uint64(body[0:8])
 			rs.Vote = NodeID(binary.BigEndian.Uint32(body[8:12]))
 		case recEntry:
 			e, used, err := DecodeEntry(body)
 			if err != nil || used != len(body) {
-				return fmt.Errorf("%w: entry record", ErrCorrupt)
+				return off, fmt.Errorf("%w: entry record", ErrCorrupt)
 			}
 			rs.foldEntry(e)
 		default:
-			return fmt.Errorf("%w: record type %d", ErrCorrupt, typ)
+			return off, fmt.Errorf("%w: record type %d", ErrCorrupt, typ)
 		}
-		blob = blob[8+n:]
+		off += 8 + n
 	}
-	return nil
+	return off, nil
 }
 
 // foldEntry applies WAL overwrite semantics: an entry at an index we

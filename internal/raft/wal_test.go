@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -190,5 +191,109 @@ func TestNodeBootstrapFromStorage(t *testing.T) {
 	// Bootstrap on a used node is rejected.
 	if err := n2.Bootstrap(rs2); err == nil {
 		t.Fatal("double bootstrap accepted")
+	}
+}
+
+// TestFileStorageAppendAfterTornTail writes behind a torn tail: the
+// reopen cuts the torn bytes, so the next recovery sees both the record
+// before them and the one written after.
+func TestFileStorageAppendAfterTornTail(t *testing.T) {
+	dir := t.TempDir()
+	fs, _, _ := OpenFileStorage(dir, true)
+	fs.SaveState(5, 1)
+	fs.AppendEntries([]Entry{testEntry(5, 1, "before")})
+	fs.Close()
+	f, err := os.OpenFile(filepath.Join(dir, "wal"), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Write([]byte{0, 0, 0, 42, 2, 1, 2}) // a torn record header
+	f.Close()
+
+	fs, rs, err := OpenFileStorage(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Entries) != 1 {
+		t.Fatalf("torn-tail recovery = %+v", rs)
+	}
+	fs.AppendEntries([]Entry{testEntry(5, 2, "after")})
+	fs.Close()
+
+	_, rs, err = OpenFileStorage(dir, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rs.Entries) != 2 || string(rs.Entries[1].Data) != "after" {
+		t.Fatalf("entries after torn-tail recovery = %+v, want before and after", rs.Entries)
+	}
+}
+
+// TestSnapshotKeepsEntriesAbove compacts a log in the middle and crashes:
+// the entries above the snapshot index, which the node may already have
+// acknowledged, come back at reopen — from the file and the in-memory
+// WAL alike. A snapshot whose last entry disagrees with the log (a
+// follower installing its leader's snapshot over a diverged suffix)
+// keeps none of them.
+func TestSnapshotKeepsEntriesAbove(t *testing.T) {
+	// Each constructor returns a storage and its crash-and-recover: the
+	// storage to carry on with, and what recovery found.
+	type reopenFunc func() (Storage, *RecoveredState)
+	open := map[string]func(t *testing.T) (Storage, reopenFunc){
+		"file": func(t *testing.T) (Storage, reopenFunc) {
+			dir := t.TempDir()
+			fs, _, err := OpenFileStorage(dir, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reopen reopenFunc
+			reopen = func() (Storage, *RecoveredState) {
+				fs.wal.Close() // crash: no Close, no flush
+				var rs *RecoveredState
+				if fs, rs, err = OpenFileStorage(dir, true); err != nil {
+					t.Fatal(err)
+				}
+				return fs, rs
+			}
+			return fs, reopen
+		},
+		"buffer": func(t *testing.T) (Storage, reopenFunc) {
+			bs := NewBufferStorage()
+			return bs, func() (Storage, *RecoveredState) {
+				rs, err := bs.Recover()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return bs, rs
+			}
+		},
+	}
+	for name, mk := range open {
+		t.Run(name, func(t *testing.T) {
+			st, reopen := mk(t)
+			st.SaveState(2, 1)
+			for i := uint64(1); i <= 6; i++ {
+				st.AppendEntries([]Entry{testEntry(2, i, fmt.Sprintf("e%d", i))})
+			}
+			st.SaveSnapshot(3, 2, []byte("snap@3"))
+			st.AppendEntries([]Entry{testEntry(2, 7, "e7")})
+			st.SaveSnapshot(5, 2, []byte("snap@5"))
+			st, rs := reopen()
+			if rs.SnapIdx != 5 || rs.Term != 2 || rs.Vote != 1 {
+				t.Fatalf("recovered %+v", rs)
+			}
+			if len(rs.Entries) != 2 || rs.Entries[0].Index != 6 || string(rs.Entries[1].Data) != "e7" {
+				t.Fatalf("entries above the snapshot = %+v, want 6 and 7", rs.Entries)
+			}
+
+			// A leader's snapshot at 7 of term 3 does not extend this log
+			// (entry 7 is of term 2): the suffix is dropped.
+			st.AppendEntries([]Entry{testEntry(2, 8, "e8")})
+			st.SaveSnapshot(7, 3, []byte("leader@7"))
+			_, rs = reopen()
+			if rs.SnapIdx != 7 || len(rs.Entries) != 0 {
+				t.Fatalf("diverged suffix kept: snap %d entries %+v", rs.SnapIdx, rs.Entries)
+			}
+		})
 	}
 }

@@ -87,10 +87,24 @@ func encodeEntry(e *Entry, buf []byte) []byte {
 
 // DecodeMessage parses a message produced by EncodeMessage.
 func DecodeMessage(b []byte) (*Message, error) {
-	if len(b) < msgFixedSize {
-		return nil, ErrBadMessage
+	m := &Message{}
+	if err := DecodeMessageInto(b, m); err != nil {
+		return nil, err
 	}
-	m := &Message{
+	return m, nil
+}
+
+// DecodeMessageInto parses a message produced by EncodeMessage into m,
+// overwriting every field. The entries are decoded into m.Entries'
+// backing array when it has room, so a caller that decodes into one
+// scratch message, and lets nothing keep m.Entries past its step,
+// decodes without allocating the message or its entry slice.
+func DecodeMessageInto(b []byte, m *Message) error {
+	if len(b) < msgFixedSize {
+		return ErrBadMessage
+	}
+	ents := m.Entries[:0]
+	*m = Message{
 		Type:         MsgType(b[0]),
 		From:         NodeID(binary.BigEndian.Uint32(b[1:5])),
 		To:           NodeID(binary.BigEndian.Uint32(b[5:9])),
@@ -105,37 +119,40 @@ func DecodeMessage(b []byte) (*Message, error) {
 		Probe:        binary.BigEndian.Uint64(b[66:74]),
 	}
 	if m.Type >= numMsgTypes {
-		return nil, ErrBadMessage
+		return ErrBadMessage
 	}
 	nEntries := binary.BigEndian.Uint32(b[74:78])
 	snapLen := binary.BigEndian.Uint32(b[78:82])
 	rest := b[msgFixedSize:]
 	if nEntries > 0 {
 		if nEntries > 1<<20 {
-			return nil, ErrBadMessage
+			return ErrBadMessage
 		}
-		m.Entries = make([]Entry, 0, nEntries)
+		if cap(ents) < int(nEntries) {
+			ents = make([]Entry, 0, nEntries)
+		}
 		for i := uint32(0); i < nEntries; i++ {
 			e, n, err := decodeEntry(rest)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			m.Entries = append(m.Entries, e)
+			ents = append(ents, e)
 			rest = rest[n:]
 		}
 	}
+	m.Entries = ents // empty, not nil, when m had entry storage
 	if snapLen != nilData {
 		if uint32(len(rest)) < snapLen {
-			return nil, ErrBadMessage
+			return ErrBadMessage
 		}
 		m.SnapData = make([]byte, snapLen)
 		copy(m.SnapData, rest[:snapLen])
 		rest = rest[snapLen:]
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
+		return fmt.Errorf("%w: %d trailing bytes", ErrBadMessage, len(rest))
 	}
-	return m, nil
+	return nil
 }
 
 func decodeEntry(b []byte) (Entry, int, error) {

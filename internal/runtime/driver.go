@@ -9,7 +9,8 @@
 // Driver: a Loop is the single execution context allowed to touch one
 // engine (run-to-completion, no locks), and a Mailbox is the bounded
 // SPSC ring through which every other core hands datagrams to the
-// owner. The simulator models the same handoff in virtual time.
+// owner. The simulator does not model cores: each simulated node is one
+// owner ingesting every packet in place.
 package runtime
 
 import (
@@ -72,7 +73,16 @@ type Driver struct {
 	retain  [256]bool
 	tel     *obs.Telemetry
 	msg     r2p2.Msg // dispatch scratch, reused across ingests
+	arena   []byte   // current chunk retained payloads are copied into
 }
+
+// arenaChunk sizes the chunks IngestBorrowed copies retained payloads
+// into; payloads above arenaMax get an allocation of their own so one
+// large body does not waste a chunk's tail.
+const (
+	arenaChunk = 64 << 10
+	arenaMax   = arenaChunk / 8
+)
 
 // New builds a Driver for the given handler.
 func New(h Handler, opts Options) *Driver {
@@ -131,9 +141,29 @@ func (d *Driver) IngestBorrowed(dg []byte, srcIP uint32) {
 		return
 	}
 	if !owned && d.retain[d.msg.Type] {
-		d.msg.Payload = append([]byte(nil), d.msg.Payload...)
+		d.msg.Payload = d.retainCopy(d.msg.Payload)
 	}
 	d.dispatch()
+}
+
+// retainCopy copies a payload the handler keeps out of the caller's
+// read buffer. Small payloads share 64 KiB chunks, filled front to back
+// and never reused — a retained payload (a request body in the raft
+// log) may live arbitrarily long, and the garbage collector frees a
+// chunk once nothing points into it. Each copy is capped at its length
+// so an append by the holder cannot run into its neighbour. An empty
+// payload stays nil, as a plain copy would make it.
+func (d *Driver) retainCopy(p []byte) []byte {
+	n := len(p)
+	if n == 0 || n > arenaMax {
+		return append([]byte(nil), p...)
+	}
+	if cap(d.arena)-len(d.arena) < n {
+		d.arena = make([]byte, 0, arenaChunk)
+	}
+	o := len(d.arena)
+	d.arena = append(d.arena, p...)
+	return d.arena[o : o+n : o+n]
 }
 
 // IngestBorrowedBatch feeds a batch-syscall reader's datagram vector in

@@ -180,18 +180,16 @@ func (l *Loop) Submit(fn func()) bool {
 // overwritten and its work would wait out the full deadline.
 func (l *Loop) ShouldPark() bool { return l.pending.Load() == 0 }
 
-// NextWake returns how long the owner may block before its next tick
-// is due (minimum 1µs so an overdue tick still yields a positive
-// deadline), or 0 when the loop has no timer.
-func (l *Loop) NextWake() time.Duration {
+// NextTick returns the loop-clock time at which the next tick is due,
+// or 0 when the loop has no timer. It moves only when a tick runs, so an
+// owner that parks on an absolute deadline re-arms it once per tick, not
+// once per pass. A due time already past means the tick is overdue: the
+// owner's read times out at once and the next Advance runs it.
+func (l *Loop) NextTick() time.Duration {
 	if l.tickEvery <= 0 || l.now == nil {
 		return 0
 	}
-	d := l.nextTck - l.now()
-	if d < time.Microsecond {
-		d = time.Microsecond
-	}
-	return d
+	return l.nextTck
 }
 
 // Advance is the owner's loop boundary, run after every ingress batch

@@ -142,30 +142,36 @@ func TestLoopSubmitRunsInOwnerContext(t *testing.T) {
 	}
 }
 
-func TestLoopTickCadenceAndNextWake(t *testing.T) {
+func TestLoopTickCadenceAndNextTick(t *testing.T) {
 	var now atomic.Int64
 	ticks := 0
 	l, _ := newOwnerLoop(&now, nil, 10*time.Millisecond, &ticks)
-	if d := l.NextWake(); d != 10*time.Millisecond {
-		t.Fatalf("NextWake = %v, want 10ms", d)
+	if at := l.NextTick(); at != 10*time.Millisecond {
+		t.Fatalf("NextTick = %v, want 10ms", at)
 	}
+	now.Store(int64(4 * time.Millisecond))
 	l.Advance() // not due yet
 	if ticks != 0 {
 		t.Fatalf("ticked %d times before the deadline", ticks)
+	}
+	// The due time is absolute: passes between ticks leave it alone, so
+	// the owner's armed read deadline stays valid.
+	if at := l.NextTick(); at != 10*time.Millisecond {
+		t.Fatalf("NextTick moved between ticks: %v", at)
 	}
 	now.Store(int64(12 * time.Millisecond))
 	l.Advance()
 	if ticks != 1 {
 		t.Fatalf("ticked %d times after the deadline, want 1", ticks)
 	}
-	if d := l.NextWake(); d != 10*time.Millisecond {
-		t.Fatalf("NextWake after tick = %v, want a fresh 10ms", d)
+	if at := l.NextTick(); at != 22*time.Millisecond {
+		t.Fatalf("NextTick after tick = %v, want 22ms", at)
 	}
-	// An overdue tick still yields a positive (minimal) deadline so the
-	// owner's read arm never blocks forever.
+	// An overdue tick reads as a due time in the past: the owner's read
+	// deadline expires at once and the next Advance runs the tick.
 	now.Store(int64(100 * time.Millisecond))
-	if d := l.NextWake(); d != time.Microsecond {
-		t.Fatalf("overdue NextWake = %v, want the 1µs floor", d)
+	if at := l.NextTick(); at >= 100*time.Millisecond {
+		t.Fatalf("overdue NextTick = %v, want a time in the past", at)
 	}
 }
 

@@ -17,10 +17,7 @@ package transport
 // required; this layer is that remedy for the deployable path. The
 // simulator never touches it, so simnet runs stay bit-identical.
 
-import (
-	"net"
-	"time"
-)
+import "net"
 
 const (
 	// defaultRecvBatch / defaultSendBatch size the mmsg vectors: how
@@ -73,14 +70,4 @@ func sameUDPAddr(a, b *net.UDPAddr) bool {
 		return a == b
 	}
 	return a.Port == b.Port && a.IP.Equal(b.IP)
-}
-
-// readDeadlineUnsupported is a build-tag-independent helper used by
-// tests to bound blocking batch reads.
-func setReadDeadline(c *net.UDPConn, d time.Duration) {
-	if d > 0 {
-		_ = c.SetReadDeadline(time.Now().Add(d))
-	} else {
-		_ = c.SetReadDeadline(time.Time{})
-	}
 }

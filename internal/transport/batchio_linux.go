@@ -96,6 +96,13 @@ type batchReader struct {
 	iovs []syscall.Iovec
 	sas  []syscall.RawSockaddrInet4
 
+	// One recvmmsg attempt, as a closure built once (like sender.write):
+	// a literal inside read would capture its results and allocate them
+	// and itself on every call.
+	recv  func(fd uintptr) bool
+	got   int
+	errno syscall.Errno
+
 	syscalls  uint64
 	datagrams uint64
 }
@@ -129,16 +136,7 @@ func newBatchReader(conn *net.UDPConn, batch int) (*batchReader, error) {
 		r.hdrs[i].hdr.Iovlen = 1
 		r.addrs[i].IP = r.ipb[4*i : 4*i+4 : 4*i+4]
 	}
-	return r, nil
-}
-
-// read blocks until at least one datagram arrives (netpoller wait), then
-// drains up to the batch size in one recvmmsg. It returns the number of
-// datagrams now exposed through views/addrs/keys.
-func (r *batchReader) read() (int, error) {
-	var got int
-	var errno syscall.Errno
-	err := r.rc.Read(func(fd uintptr) bool {
+	r.recv = func(fd uintptr) bool {
 		for {
 			// The kernel rewrites namelen per message; reset in/out fields.
 			for i := range r.hdrs {
@@ -153,17 +151,27 @@ func (r *batchReader) read() (int, error) {
 			if e == syscall.EAGAIN {
 				return false // park on the poller until readable
 			}
-			got, errno = int(n), e
+			r.got, r.errno = int(n), e
 			return true
 		}
-	})
+	}
+	return r, nil
+}
+
+// read blocks until at least one datagram arrives (netpoller wait), then
+// drains up to the batch size in one recvmmsg. It returns the number of
+// datagrams now exposed through views/addrs/keys.
+func (r *batchReader) read() (int, error) {
+	r.got, r.errno = 0, 0
+	err := r.rc.Read(r.recv)
 	runtime.KeepAlive(r)
 	if err != nil {
 		return 0, err
 	}
-	if errno != 0 {
-		return 0, errno
+	if r.errno != 0 {
+		return 0, r.errno
 	}
+	got := r.got
 	r.syscalls++
 	r.datagrams += uint64(got)
 	for i := 0; i < got; i++ {

@@ -67,7 +67,7 @@ func TestBatchIORoundTrip(t *testing.T) {
 	}
 	for len(got) < total && time.Now().Before(deadline) {
 		for i, r := range readers {
-			setReadDeadline(conns[i], 50*time.Millisecond)
+			_ = conns[i].SetReadDeadline(time.Now().Add(50 * time.Millisecond))
 			n, err := r.read()
 			if err != nil {
 				continue

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -9,7 +10,9 @@ import (
 	"time"
 
 	"hovercraft/internal/core"
+	"hovercraft/internal/kvstore"
 	"hovercraft/internal/raft"
+	"hovercraft/internal/ycsb"
 )
 
 // BenchmarkLoopbackUDPThroughput drives a 3-node HovercRaft cluster over
@@ -276,4 +279,99 @@ func BenchmarkLoopbackDurableThroughput(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	b.ReportMetric(float64(syncsAfter-syncsBefore)/float64(b.N), "fsyncs/req")
+}
+
+// BenchmarkLoopbackUDPSaturated is the saturated write path in the shape
+// of the ledger's write_sat_128 workload: a 3-node HovercRaft cluster
+// serving the kvstore on one socket each with a 1 ms tick, and 128
+// closed-loop writers sharing two client sockets, each issuing 16 B SETs
+// over 1000 keys. It exists to be profiled (`make profile-sat`): the
+// CPU and allocations per request it shows are those of the replicas,
+// the clients and the kernel hops between them.
+func BenchmarkLoopbackUDPSaturated(b *testing.B) {
+	probe, err := newEphemeral()
+	if err != nil {
+		b.Skipf("loopback UDP unavailable: %v", err)
+	}
+	probe.Close()
+
+	const (
+		nodes   = 3
+		writers = 128
+		sockets = 2
+		keys    = 1000
+	)
+	ports := freePorts(b, nodes)
+	peers := make(map[uint32]string, nodes)
+	for i := 0; i < nodes; i++ {
+		peers[uint32(i+1)] = ports[i]
+	}
+	var servers []*Server
+	defer func() {
+		for _, s := range servers {
+			s.Close()
+		}
+	}()
+	for id := uint32(1); id <= nodes; id++ {
+		s, err := NewServer(ServerConfig{
+			ID: id, Peers: peers, Mode: core.ModeHovercraft,
+			Bound: 128, TickInterval: time.Millisecond, Sockets: 1,
+		}, kvstore.New())
+		if err != nil {
+			b.Fatal(err)
+		}
+		servers = append(servers, s)
+	}
+	servers[0].Campaign()
+	waitForLeader(b, servers)
+
+	addrs := make([]string, 0, nodes)
+	for _, a := range ports {
+		addrs = append(addrs, a)
+	}
+	clients := make([]*Client, sockets)
+	for i := range clients {
+		if clients[i], err = Dial(addrs); err != nil {
+			b.Fatal(err)
+		}
+		defer clients[i].Close()
+	}
+	rng := rand.New(rand.NewSource(1))
+	cmds := make([][]byte, keys)
+	val := make([]byte, 16)
+	for k := range cmds {
+		rng.Read(val)
+		cmds[k] = kvstore.EncodeSet(ycsb.Key(uint64(k)), val)
+	}
+	set := func(cl *Client, cmd []byte) error {
+		reply, err := cl.Call(cmd, false)
+		if err == nil && (len(reply) != 1 || reply[0] != kvstore.StatusOK) {
+			err = fmt.Errorf("SET reply %x", reply)
+		}
+		return err
+	}
+	if err := set(clients[0], cmds[0]); err != nil {
+		b.Fatal(err)
+	}
+
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(cl *Client, seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			for next.Add(1) <= int64(b.N) {
+				if err := set(cl, cmds[r.Intn(keys)]); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(clients[w%sockets], int64(w))
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 }

@@ -14,7 +14,10 @@ import (
 
 // ClientOptions tune a UDP client.
 type ClientOptions struct {
-	// Timeout bounds one attempt (default 500ms).
+	// Timeout bounds one attempt (default 500ms). Attempts are not
+	// timed one by one: a sweep every Timeout/16 (at least 1ms) expires
+	// the attempts whose deadline has passed, so an attempt times out
+	// between Timeout and Timeout + Timeout/16 after it was sent.
 	Timeout time.Duration
 	// Retries caps resends after timeouts or NACK redirects (default 5).
 	// Every resend reuses the original R2P2 request ID, and the servers
@@ -39,8 +42,11 @@ type Client struct {
 	start   time.Time
 	readTgt int // rotates CallRead across peers (under mu)
 
+	states sync.Pool // *callState, reused with its channel
+
 	closed  chan struct{}
 	closeMu sync.Once
+	wg      sync.WaitGroup // the read loop and the sweeper
 }
 
 type clientResult struct {
@@ -49,18 +55,25 @@ type clientResult struct {
 	// retryAfter is the strongest retry-after hint carried by the NACK
 	// round (zero when every NACK was the legacy empty kind).
 	retryAfter time.Duration
+	// timeout reports that the sweeper expired the attempt.
+	timeout bool
 }
 
 // callState tracks one in-flight request. Because requests fan out to
 // every node, VanillaRaft followers NACK-redirect while the leader
 // answers; a call only fails on NACK once every peer rejected it.
 // Point-to-point attempts (lin-reads) set expect=1: the one replica
-// asked is the only one that will answer.
+// asked is the only one that will answer. While the state is in the
+// waiting table, exactly one result is delivered on ch — a reply, a
+// failing NACK round, or the sweeper's timeout — and whoever delivers
+// it removes the state from the table, both under c.mu; so ch (capacity
+// one) never blocks a sender.
 type callState struct {
-	ch     chan clientResult
-	nacks  int
-	expect int // NACKs that fail the attempt (0 = every peer)
-	hint   time.Duration
+	ch       chan clientResult
+	nacks    int
+	expect   int // NACKs that fail the attempt (0 = every peer)
+	hint     time.Duration
+	deadline time.Duration // client clock; the sweeper expires the attempt after it
 }
 
 // ErrTimeout reports that all attempts of a Call expired.
@@ -99,6 +112,7 @@ func Dial(peerAddrs []string, opts ...ClientOptions) (*Client, error) {
 		start:   time.Now(),
 		closed:  make(chan struct{}),
 	}
+	c.states.New = func() interface{} { return &callState{ch: make(chan clientResult, 1)} }
 	c.sendPool.New = func() interface{} { return newSender(conn, rawConn, defaultSendBatch) }
 	c.drv = runtime.New((*clientHandler)(c), runtime.Options{
 		Now:          func() time.Duration { return time.Since(c.start) },
@@ -123,20 +137,83 @@ func Dial(peerAddrs []string, opts ...ClientOptions) (*Client, error) {
 	// The r2p2 port is the client's identity within its IP; derive it
 	// from the UDP port plus randomness against port reuse.
 	c.r2cl = r2p2.NewClient(ipKey(local), uint16(local.Port)^uint16(rand.Int()))
+	c.wg.Add(2)
 	go c.readLoop()
+	go c.sweep()
 	return c, nil
 }
 
-// Close releases the client socket.
+// Close releases the client socket and waits for the client's
+// goroutines to exit.
 func (c *Client) Close() error {
 	c.closeMu.Do(func() {
 		close(c.closed)
 		c.conn.Close()
 	})
+	c.wg.Wait()
 	return nil
 }
 
+func (c *Client) now() time.Duration { return time.Since(c.start) }
+
+// sweep expires attempts whose deadline has passed, every Timeout/16
+// (at least 1ms). One ticker per client replaces a timer per attempt:
+// with many callers blocked at once, per-attempt timers churn the
+// runtime's timer heap on every call.
+func (c *Client) sweep() {
+	defer c.wg.Done()
+	every := c.opts.Timeout / 16
+	if every < time.Millisecond {
+		every = time.Millisecond
+	}
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-c.closed:
+			return
+		case <-t.C:
+		}
+		now := c.now()
+		c.mu.Lock()
+		for id, st := range c.waiting {
+			if now >= st.deadline {
+				delete(c.waiting, id)
+				st.ch <- clientResult{timeout: true}
+			}
+		}
+		c.mu.Unlock()
+	}
+}
+
+// register files st in the waiting table under id for one attempt that
+// expires at deadline, resetting the attempt's NACK fan-in (a full round
+// of redirects last attempt says nothing about this one). Called under
+// c.mu.
+func (c *Client) register(id uint32, st *callState, deadline time.Duration) {
+	st.nacks, st.hint = 0, 0
+	st.deadline = deadline
+	c.waiting[id] = st
+}
+
+// release ends a call: it takes st out of the waiting table, drains a
+// result no attempt consumed and returns st to the pool.
+func (c *Client) release(id uint32, st *callState) {
+	c.mu.Lock()
+	if c.waiting[id] == st {
+		delete(c.waiting, id)
+	}
+	c.mu.Unlock()
+	select {
+	case <-st.ch:
+	default:
+	}
+	st.expect = 0
+	c.states.Put(st)
+}
+
 func (c *Client) readLoop() {
+	defer c.wg.Done()
 	r, err := newBatchReader(c.conn, defaultRecvBatch)
 	if err != nil {
 		return
@@ -211,28 +288,16 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 	}
 	c.mu.Lock()
 	id, dgs := c.r2cl.NewRequest(policy, cmd)
-	st := &callState{ch: make(chan clientResult, 1)}
-	c.waiting[id.ReqID] = st
+	st := c.states.Get().(*callState)
+	c.register(id.ReqID, st, c.now()+c.opts.Timeout)
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiting, id.ReqID)
-		c.mu.Unlock()
-	}()
+	defer c.release(id.ReqID, st)
 
 	var lastErr error = ErrTimeout
 	backoff := 2 * time.Millisecond
 	var hinted time.Duration // retry-after carried by the last NACK round
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
-			// NACK fan-in restarts per attempt (a full round of
-			// redirects last attempt says nothing about the new
-			// leader), and a nacked attempt was deregistered by the
-			// read loop, so re-register under the same request ID.
-			c.mu.Lock()
-			st.nacks, st.hint = 0, 0
-			c.waiting[id.ReqID] = st
-			c.mu.Unlock()
 			// An overloaded cluster's retry-after hint overrides the
 			// local schedule; either way the wait is jittered (half
 			// deterministic, half random) so the cohort a NACK burst
@@ -242,6 +307,14 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 				d = hinted
 			}
 			d = d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
+			// The previous attempt was deregistered (NACK or timeout);
+			// re-register under the same request ID before the wait, so
+			// a late reply to it is still taken. The deadline starts
+			// after the wait: the sweeper must not expire an attempt
+			// that has not been sent.
+			c.mu.Lock()
+			c.register(id.ReqID, st, c.now()+d+c.opts.Timeout)
+			c.mu.Unlock()
 			select {
 			case <-c.closed:
 				return nil, errors.New("transport: client closed")
@@ -265,14 +338,15 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 		c.sendPool.Put(sn)
 		select {
 		case res := <-st.ch:
-			if res.nack {
+			switch {
+			case res.timeout:
+				lastErr = ErrTimeout
+			case res.nack:
 				hinted = res.retryAfter
 				lastErr = errors.New("transport: request rejected (redirect/overload)")
-				continue
+			default:
+				return res.payload, nil
 			}
-			return res.payload, nil
-		case <-time.After(c.opts.Timeout):
-			lastErr = ErrTimeout
 		case <-c.closed:
 			return nil, errors.New("transport: client closed")
 		}
@@ -296,26 +370,22 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 	c.mu.Lock()
 	id, dgs := c.r2cl.NewRequest(r2p2.PolicyLinRead, cmd)
-	st := &callState{ch: make(chan clientResult, 1), expect: 1}
-	c.waiting[id.ReqID] = st
+	st := c.states.Get().(*callState)
+	st.expect = 1
+	c.register(id.ReqID, st, c.now()+c.opts.Timeout)
 	tgt := c.readTgt
 	c.readTgt++
 	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiting, id.ReqID)
-		c.mu.Unlock()
-	}()
+	defer c.release(id.ReqID, st)
 
 	var lastErr error = ErrTimeout
 	for attempt := 0; attempt <= c.opts.Retries; attempt++ {
 		if attempt > 0 {
-			// The previous attempt was deregistered (NACK) or may race a
-			// late reply (timeout); re-register under the same request ID
-			// so the dedup/reply path still matches.
+			// The previous attempt was deregistered (NACK or timeout);
+			// re-register under the same request ID so a late reply
+			// still matches.
 			c.mu.Lock()
-			st.nacks = 0
-			c.waiting[id.ReqID] = st
+			c.register(id.ReqID, st, c.now()+c.opts.Timeout)
 			c.mu.Unlock()
 		}
 		peer := c.peers[(tgt+attempt)%len(c.peers)]
@@ -324,14 +394,15 @@ func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 		c.sendPool.Put(sn)
 		select {
 		case res := <-st.ch:
-			if res.nack {
+			switch {
+			case res.timeout:
+				lastErr = ErrTimeout
+			case res.nack:
 				// Redirect: rotate to the next replica right away.
 				lastErr = errors.New("transport: read redirected")
-				continue
+			default:
+				return res.payload, nil
 			}
-			return res.payload, nil
-		case <-time.After(c.opts.Timeout):
-			lastErr = ErrTimeout
 		case <-c.closed:
 			return nil, errors.New("transport: client closed")
 		}

@@ -643,18 +643,30 @@ func (s *Server) Close() error {
 // own deadline when a producer's wakeup raced the arm. Forwarding
 // cores just block on their socket and push each batch into the
 // owner's mailbox.
+//
+// The owner's read deadline is the next tick's absolute due time, armed
+// only when it differs from the one already on the socket: once per
+// tick rather than once per pass, because re-arming the runtime's
+// netpoll timer on every pass is a large share of a saturated loop's
+// CPU. A kick (or any read error) may have replaced the deadline on the
+// socket, so after one the owner forgets what it armed.
 func (s *Server) coreLoop(lp *runtime.Loop, r *batchReader, c *net.UDPConn) {
 	defer s.wg.Done()
 	owner := lp.IsOwner()
+	armed := time.Duration(-1) // loop-clock deadline on the socket; -1: unknown
 	for {
 		if owner {
 			// Park at most until the next tick. The pending re-check
 			// must come after the arm: a producer that kicked between
 			// Advance and SetReadDeadline would otherwise have its
 			// expired deadline overwritten and wait out a full tick.
-			setReadDeadline(c, lp.NextWake())
+			if at := lp.NextTick(); at != armed {
+				_ = c.SetReadDeadline(s.start.Add(at))
+				armed = at
+			}
 			if !lp.ShouldPark() {
 				_ = c.SetReadDeadline(aLongTimeAgo)
+				armed = -1
 			}
 		}
 		n, err := r.read()
@@ -665,6 +677,7 @@ func (s *Server) coreLoop(lp *runtime.Loop, r *batchReader, c *net.UDPConn) {
 			default:
 			}
 			if owner {
+				armed = -1
 				lp.Advance() // timeout or kick: tick and drain handoffs
 			}
 			continue

@@ -270,6 +270,55 @@ func TestDialErrors(t *testing.T) {
 	}
 }
 
+// TestClientSweepTimesOutConcurrentCalls runs many calls at once
+// against a peer that never answers: each attempt is expired by the
+// client's sweeper, not a timer of its own, within Timeout + Timeout/16
+// of its send, so every call fails with ErrTimeout after both attempts
+// and no sooner than two timeouts; Close then waits for the sweeper.
+func TestClientSweepTimesOutConcurrentCalls(t *testing.T) {
+	silent, err := newEphemeral()
+	if err != nil {
+		t.Skipf("loopback UDP unavailable: %v", err)
+	}
+	defer silent.Close()
+	const timeout = 40 * time.Millisecond
+	cl, err := Dial([]string{silent.LocalAddr().String()}, ClientOptions{Timeout: timeout, Retries: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func(read bool) {
+			defer wg.Done()
+			t0 := time.Now()
+			var err error
+			if read {
+				_, err = cl.CallRead([]byte("get"))
+			} else {
+				_, err = cl.Call([]byte("incr"), false)
+			}
+			el := time.Since(t0)
+			if err != ErrTimeout {
+				t.Errorf("call error = %v, want ErrTimeout", err)
+			}
+			// Two attempts, each expired by the sweep; write retries
+			// also back off up to 2ms. The upper bound leaves room for
+			// a loaded scheduler.
+			if el < 2*timeout || el > 2*(timeout+timeout/16)+500*time.Millisecond {
+				t.Errorf("call took %v, want about %v", el, 2*timeout)
+			}
+		}(i%2 == 0)
+	}
+	wg.Wait()
+	cl.Close()
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	if len(cl.waiting) != 0 {
+		t.Fatalf("%d calls still registered after returning", len(cl.waiting))
+	}
+}
+
 // TestUDPMultiSocketDurableEndToEnd runs a cluster on the full new data
 // plane: multi-socket reuseport ingress, batch I/O, and group-committed
 // fsyncing WALs. Correctness must be indistinguishable from the default
