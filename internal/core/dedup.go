@@ -37,18 +37,13 @@ type dedupEntry struct {
 // Every replica looks an ID up twice per operation (at ingress and at
 // apply) and records it once, so the layout allocates nothing in steady
 // state: entries live by value in a ring of window slots, oldest at
-// head, and an open-addressing index (linear probing, at most half
-// full, backward-shift deletion so no tombstones accumulate) maps an ID
-// to its ring slot. Index positions keep the ID's hash, so a probe past
-// a different ID, and every shift, stays inside the index instead of
-// reading a ring slot. The ring and the index grow by doubling until the
-// window is full; from then on each Record overwrites the oldest slot.
+// head, and a map from ID to ring slot finds them. Once the window is
+// full each Record overwrites the oldest slot.
 type DedupCache struct {
 	window int
 	ring   []dedupEntry // insertion order from head, wrapping once full
 	head   int          // ring slot of the oldest entry
-	index  []dedupPos
-	mask   uint32 // len(index) - 1
+	slots  map[r2p2.RequestID]int32
 
 	// Stats.
 	Hits    uint64
@@ -57,46 +52,20 @@ type DedupCache struct {
 
 // NewDedupCache returns a cache remembering the last window IDs.
 func NewDedupCache(window int) *DedupCache {
-	return &DedupCache{window: window}
+	return &DedupCache{window: window, slots: make(map[r2p2.RequestID]int32)}
 }
 
-// dedupPos is one index position: the ring slot + 1 (0 = empty) of the
-// ID it holds, and that ID's hash.
-type dedupPos struct {
-	slot int32
-	hash uint32
-}
-
-// dedupHash spreads a request ID over the index (Fibonacci hashing: the
-// high bits of a multiplicative hash, so sequential ReqIDs scatter).
-func dedupHash(id r2p2.RequestID) uint32 {
-	k := uint64(id.SrcIP)<<32 | uint64(id.ReqID)
-	k ^= uint64(id.SrcPort) << 16
-	return uint32((k * 0x9E3779B97F4A7C15) >> 32)
-}
-
-// find returns the index position holding id and its ring slot, or the
-// empty position where id would go and slot -1.
-func (d *DedupCache) find(id r2p2.RequestID) (pos uint32, slot int) {
-	if d.index == nil {
-		return 0, -1
+// find returns id's ring slot, or -1.
+func (d *DedupCache) find(id r2p2.RequestID) int {
+	if slot, ok := d.slots[id]; ok {
+		return int(slot)
 	}
-	h := dedupHash(id)
-	for pos = h & d.mask; ; pos = (pos + 1) & d.mask {
-		p := d.index[pos]
-		if p.slot == 0 {
-			return pos, -1
-		}
-		if p.hash == h && d.ring[p.slot-1].id == id {
-			return pos, int(p.slot - 1)
-		}
-	}
+	return -1
 }
 
 // Seen reports whether id was already applied (still inside the window).
 func (d *DedupCache) Seen(id r2p2.RequestID) bool {
-	_, slot := d.find(id)
-	if slot < 0 {
+	if d.find(id) < 0 {
 		return false
 	}
 	d.Hits++
@@ -107,7 +76,7 @@ func (d *DedupCache) Seen(id r2p2.RequestID) bool {
 // hasReply reports whether the reply bytes survived (false when the
 // entry came in via snapshot restore).
 func (d *DedupCache) Lookup(id r2p2.RequestID) (reply []byte, replier raft.NodeID, hasReply, ok bool) {
-	_, slot := d.find(id)
+	slot := d.find(id)
 	if slot < 0 {
 		return nil, raft.None, false, false
 	}
@@ -120,7 +89,7 @@ func (d *DedupCache) Lookup(id r2p2.RequestID) (reply []byte, replier raft.NodeI
 // existing ID only fills in missing reply bytes (it never reorders the
 // FIFO, so eviction stays deterministic across replicas).
 func (d *DedupCache) Record(id r2p2.RequestID, reply []byte, replier raft.NodeID) {
-	if _, slot := d.find(id); slot >= 0 {
+	if slot := d.find(id); slot >= 0 {
 		if e := &d.ring[slot]; !e.has && reply != nil {
 			e.reply, e.replier, e.has = reply, replier, true
 		}
@@ -136,59 +105,19 @@ func (d *DedupCache) insert(e dedupEntry) {
 		d.Evicted++ // remembered and forgotten at once
 		return
 	}
-	var slot int
 	if len(d.ring) < d.window {
-		slot = len(d.ring)
+		d.slots[e.id] = int32(len(d.ring))
 		d.ring = append(d.ring, e)
-		if 2*len(d.ring) > len(d.index) {
-			d.grow()
-			return // grow indexed every entry, e included
-		}
-	} else {
-		slot = d.head
-		d.unindex(d.ring[slot].id)
-		d.ring[slot] = e
-		d.head++
-		if d.head == len(d.ring) {
-			d.head = 0
-		}
-		d.Evicted++
-	}
-	pos, _ := d.find(e.id)
-	d.index[pos] = dedupPos{slot: int32(slot + 1), hash: dedupHash(e.id)}
-}
-
-// grow doubles the index (from 16 positions) and re-indexes every entry.
-func (d *DedupCache) grow() {
-	n := 2 * len(d.index)
-	if n < 16 {
-		n = 16
-	}
-	d.index = make([]dedupPos, n)
-	d.mask = uint32(n - 1)
-	for slot := range d.ring {
-		pos, _ := d.find(d.ring[slot].id)
-		d.index[pos] = dedupPos{slot: int32(slot + 1), hash: dedupHash(d.ring[slot].id)}
-	}
-}
-
-// unindex removes id's index position, shifting later members of its
-// probe run back so every entry stays reachable from its home position.
-func (d *DedupCache) unindex(id r2p2.RequestID) {
-	hole, slot := d.find(id)
-	if slot < 0 {
 		return
 	}
-	for pos := (hole + 1) & d.mask; d.index[pos].slot != 0; pos = (pos + 1) & d.mask {
-		home := d.index[pos].hash & d.mask
-		// The entry at pos may fill the hole unless its home lies
-		// cyclically in (hole, pos]: then it already sits at or after it.
-		if (pos-home)&d.mask >= (pos-hole)&d.mask {
-			d.index[hole] = d.index[pos]
-			hole = pos
-		}
+	delete(d.slots, d.ring[d.head].id)
+	d.ring[d.head] = e
+	d.slots[e.id] = int32(d.head)
+	d.head++
+	if d.head == len(d.ring) {
+		d.head = 0
 	}
-	d.index[hole] = dedupPos{}
+	d.Evicted++
 }
 
 // Len returns the number of remembered IDs.
@@ -263,7 +192,7 @@ func unwrapSnapshot(blob []byte) (ids []r2p2.RequestID, app []byte, err error) {
 // effects are inside the restored state but whose replies are gone.
 func (d *DedupCache) seedFromSnapshot(ids []r2p2.RequestID) {
 	for _, id := range ids {
-		if _, slot := d.find(id); slot < 0 {
+		if d.find(id) < 0 {
 			d.insert(dedupEntry{id: id, replier: raft.None})
 		}
 	}

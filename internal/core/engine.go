@@ -682,8 +682,6 @@ func (e *Engine) handleConsensus(m *r2p2.Msg, viaAgg bool) {
 		return
 	}
 	switch {
-	case env.Raft != nil:
-		e.handleRaft(env.Raft, viaAgg)
 	case env.RecoveryReq != nil:
 		e.handleRecoveryReq(env.RecoveryReq)
 	case env.RecoveryResp != nil:

@@ -281,6 +281,11 @@ func (h *clientHandler) HandleMessage(m *r2p2.Msg) {
 // answers directly. All attempts of a Call share one request ID, so the
 // server-side dedup cache applies a retried write exactly once and
 // answers later copies from its reply cache.
+//
+// The reply is a capped slice of a 64 KiB buffer that later replies on
+// this client share, so receiving it allocates nothing. A caller that
+// keeps a reply beyond its immediate use (a cache, a result log) should
+// keep a copy: the reply pins its whole buffer while it lives.
 func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 	policy := r2p2.PolicyReplicated
 	if readOnly {
@@ -367,6 +372,7 @@ func (c *Client) Call(cmd []byte, readOnly bool) ([]byte, error) {
 // backoff sleep, unlike Call's write path. Requires servers running
 // with read leases enabled; against a cluster without them every
 // replica NACKs and the call fails after exhausting the rotation.
+// The reply shares a buffer with other replies, as Call's does.
 func (c *Client) CallRead(cmd []byte) ([]byte, error) {
 	c.mu.Lock()
 	id, dgs := c.r2cl.NewRequest(r2p2.PolicyLinRead, cmd)

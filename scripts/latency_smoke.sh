@@ -27,7 +27,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 LIMIT_US=${LIMIT_US:-1000}
-ALLOCS_CEIL=${ALLOCS_CEIL:-14}
+ALLOCS_CEIL=14
 
 # run WORKLOAD TRACE runs WORKLOAD for 6 s, echoes its result line to
 # stderr and fails unless the run is correct; value NAME then prints
