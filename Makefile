@@ -15,7 +15,7 @@ SHELL := /bin/bash
 BENCH_PATTERN := Hotpath|HeaderMarshal|Fragment|PooledFrag|IngestSingle|Reassemble|GetRelease
 BENCH_PKGS := . ./internal/r2p2 ./internal/wire ./internal/obs
 
-# The gated data-plane benchmarks: the batch-size × socket-count matrix
+# The gated data-plane benchmarks: the send/recv batch-size sweep
 # (dg/sendmmsg amortization) and the group-commit durable-throughput run
 # (fsyncs/req). The gated units are ratios, which hold across machines
 # even though dg/s does not.

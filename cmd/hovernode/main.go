@@ -134,11 +134,9 @@ func main() {
 		walSync   = flag.Bool("wal-sync", false, "fsync WAL records before acknowledging")
 		compact   = flag.Uint64("compact-every", 100000, "snapshot+truncate the log every N applied entries (0 = never)")
 
-		cores      = flag.Int("cores", 0, "per-core run-to-completion loops per shard, one SO_REUSEPORT socket each (0 = use -sockets; Linux)")
-		sockets    = flag.Int("sockets", 1, "legacy alias for -cores: SO_REUSEPORT ingress sockets per shard")
 		recvBatch  = flag.Int("recv-batch", 0, "datagrams drained per recvmmsg (0 = default 32)")
 		sendBatch  = flag.Int("send-batch", 0, "datagrams coalesced per sendmmsg (0 = default 32)")
-		sockBuf    = flag.Int("sockbuf", 0, "SO_RCVBUF/SO_SNDBUF per socket in bytes (0 = default 2 MiB)")
+		sockBuf    = flag.Int("sockbuf", 0, "SO_RCVBUF/SO_SNDBUF of each shard's socket in bytes (0 = default 2 MiB)")
 		fsyncBatch = flag.Int("fsync-batch", 0, "WAL group commit: records staged per fsync (<=1 = sync every record)")
 		fsyncDelay = flag.Duration("fsync-delay", 0, "WAL group commit: max time a staged record may wait for its fsync")
 
@@ -211,12 +209,6 @@ func main() {
 			Bound:        *bound,
 			TickInterval: *tick,
 			CompactEvery: *compact,
-			Cores:        *cores,
-			// Stagger each shard's engine-owning core so co-located
-			// shards don't all pin their run-to-completion loop to the
-			// same core (Affinity is taken modulo the core count).
-			Affinity:     s,
-			Sockets:      *sockets,
 			RecvBatch:    *recvBatch,
 			SendBatch:    *sendBatch,
 			SockBufBytes: *sockBuf,

@@ -47,7 +47,7 @@ import (
 // replica must reach the same state. Apply is never called concurrently.
 //
 // Apply runs on the node's network loop, to completion, like a Redis
-// command: the loop that reads the sockets and steps Raft executes each
+// command: the loop that reads the socket and steps Raft executes each
 // committed command inline and sends its reply in the same batch. Apply
 // must therefore not block or run long — while it runs the node neither
 // receives nor sends, and a slow Apply delays heartbeats (one longer than
@@ -110,11 +110,6 @@ type Config struct {
 	// listens on each peer's port+s; use StartSharded to supply per-shard
 	// state machines and DialSharded for a key-routing client.
 	Shards int
-
-	// Sockets shards each group's ingress across this many SO_REUSEPORT
-	// sockets with independent batch read loops (default 1). Only Linux
-	// binds more than one; elsewhere the value is ignored.
-	Sockets int
 
 	// ReadLease enables the linearizable read fast path: Client.CallRead
 	// requests are served from any replica's local state under a
@@ -210,7 +205,6 @@ func StartSharded(cfg Config, f ShardFactory) (*Node, error) {
 			HeartbeatTicks: cfg.HeartbeatTicks,
 			Bound:          cfg.Bound,
 			DisableReplyLB: cfg.DisableReplyLB,
-			Sockets:        cfg.Sockets,
 
 			ReadLease:           cfg.ReadLease,
 			ReadStalenessBudget: cfg.ReadStalenessBudget,

@@ -231,11 +231,10 @@ func (c *Config) defaults() {
 // driven by HandleMessage and Tick; it is not safe for concurrent use.
 //
 // Single-owner contract: exactly one execution context may ever call
-// into an Engine — the simulator's event loop, or the owning core's
-// runtime.Loop in the UDP transport. There is no engine lock to take;
-// work originating elsewhere (datagrams read on another core, a
-// bootstrap Campaign) must be handed to the owner through its mailbox
-// or command queue and delivered from there.
+// into an Engine — the simulator's event loop, or the runtime.Loop that
+// reads the UDP transport's socket. There is no engine lock to take;
+// work originating elsewhere (a bootstrap Campaign) must be handed to
+// the owner through its command queue and run from there.
 // Anything the owner wants to expose to other goroutines (status,
 // admission gauges) is published into atomics, never read directly.
 type Engine struct {

@@ -36,7 +36,7 @@ type FlowControl struct {
 	// Zero keeps the classic empty NACK. Written by the admission
 	// controller's tick, read by HandleDatagram — both run in the one
 	// execution context that owns this FlowControl (the middlebox
-	// host's goroutine in the simulator; the owning core's loop for
+	// host's goroutine in the simulator; the node's socket loop for
 	// leader-side admission over UDP). Like every other field here,
 	// it is single-owner state: only the controller's *outputs*
 	// (window size, hint) are atomics, read by the owner each tick.

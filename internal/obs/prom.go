@@ -29,7 +29,7 @@ import (
 // promFamilyPrefix namespaces every exported metric.
 const promFamilyPrefix = "hovercraft_"
 
-var promLabelComp = regexp.MustCompile(`^(shard|node|group|core)([0-9]+)$`)
+var promLabelComp = regexp.MustCompile(`^(shard|node|group)([0-9]+)$`)
 
 var promSanitize = regexp.MustCompile(`[^a-zA-Z0-9_]`)
 

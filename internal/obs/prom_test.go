@@ -109,7 +109,6 @@ func TestPromSplit(t *testing.T) {
 		{"shard0.qdelay.ingress", true, "qdelay", `shard="0",stage="ingress"`},
 		{"shard12.net.rx_datagrams", false, "net_rx_datagrams", `shard="12"`},
 		{"node3.group1.wal.fsyncs", false, "wal_fsyncs", `group="1",node="3"`},
-		{"shard0.core2.handoff_in", false, "handoff_in", `core="2",shard="0"`},
 		{"latency.total", true, "latency", `stage="total"`},
 		{"uptime_seconds", false, "uptime_seconds", ""},
 		{"qdelay", true, "qdelay", ""},

@@ -5,12 +5,11 @@
 // Driver, so the protocol hot path runs identically in both worlds and
 // the reassembly buffer-ownership rules live in exactly one place.
 //
-// The package also owns the per-core execution model around the
-// Driver: a Loop is the single execution context allowed to touch one
-// engine (run-to-completion, no locks), and a Mailbox is the bounded
-// SPSC ring through which every other core hands datagrams to the
-// owner. The simulator does not model cores: each simulated node is one
-// owner ingesting every packet in place.
+// The package also owns the execution model around the Driver: a Loop
+// is the single execution context allowed to touch one engine
+// (run-to-completion, no locks). Over UDP that loop is the goroutine
+// reading the node's one socket; the simulator does not model cores,
+// and each simulated node is one owner ingesting every packet in place.
 package runtime
 
 import (
@@ -60,9 +59,8 @@ type Options struct {
 
 // Driver feeds one Handler from raw datagrams. It is not safe for
 // concurrent use and is never locked: exactly one execution context
-// owns it — the simulator's single event loop, or the owning core's
-// Loop in the UDP transport — and everyone else hands datagrams to
-// that owner through a Mailbox.
+// owns it — the simulator's single event loop, or the Loop reading the
+// UDP transport's socket.
 type Driver struct {
 	h       Handler
 	reasm   *r2p2.Reassembler

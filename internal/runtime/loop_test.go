@@ -13,13 +13,13 @@ type delivered struct {
 	port uint16
 }
 
-// newOwnerLoop builds an owning loop whose deliveries and kicks are
-// recorded, with a controllable clock.
+// newOwnerLoop builds a loop whose deliveries and kicks are recorded,
+// with a controllable clock.
 func newOwnerLoop(now *atomic.Int64, kicks *atomic.Uint64, tickEvery time.Duration, ticks *int) (*Loop, *[]delivered) {
 	var got []delivered
 	closed := make(chan struct{})
 	l := NewLoop(LoopOptions{
-		Deliver: func(dg []byte, src uint32, port uint16, owned bool) {
+		Deliver: func(dg []byte, src uint32, port uint16) {
 			cp := append([]byte(nil), dg...)
 			got = append(got, delivered{cp, src, port})
 		},
@@ -43,82 +43,12 @@ func newOwnerLoop(now *atomic.Int64, kicks *atomic.Uint64, tickEvery time.Durati
 func TestLoopOwnerIngestsRunToCompletion(t *testing.T) {
 	var now atomic.Int64
 	l, got := newOwnerLoop(&now, nil, 0, nil)
-	if !l.IsOwner() {
-		t.Fatal("loop without Owner must own")
-	}
 	l.Ingest([]byte{1, 2}, 7, 9)
 	if len(*got) != 1 || (*got)[0].src != 7 || (*got)[0].port != 9 {
-		t.Fatalf("direct ingest not delivered: %+v", *got)
+		t.Fatalf("ingest not delivered in place: %+v", *got)
 	}
-	if n := l.Counters().Get("ingress_datagrams").Load(); n != 1 {
-		t.Fatalf("ingress_datagrams = %d, want 1", n)
-	}
-}
-
-func TestLoopHandoffKickAndDrain(t *testing.T) {
-	var now atomic.Int64
-	var kicks atomic.Uint64
-	owner, got := newOwnerLoop(&now, &kicks, 0, nil)
-	peer := NewLoop(LoopOptions{Core: 1, Owner: owner, MailboxCap: 8,
-		Now: func() time.Duration { return time.Duration(now.Load()) }})
-	if peer.IsOwner() {
-		t.Fatal("forwarding loop must not own")
-	}
-
-	// The read slab is reused between ingests: the mailbox must copy.
-	slab := []byte{0xAA}
-	peer.Ingest(slab, 3, 4)
-	slab[0] = 0xBB
-	peer.Ingest(slab, 5, 6)
-
-	if k := kicks.Load(); k != 1 {
-		t.Fatalf("kicks = %d, want exactly 1 (edge-triggered on 0→1)", k)
-	}
-	if owner.ShouldPark() {
-		t.Fatal("owner must not park with handoffs pending")
-	}
-	owner.Advance()
-	want := []delivered{{[]byte{0xAA}, 3, 4}, {[]byte{0xBB}, 5, 6}}
-	if len(*got) != 2 {
-		t.Fatalf("drained %d datagrams, want 2", len(*got))
-	}
-	for i, w := range want {
-		g := (*got)[i]
-		if g.src != w.src || g.port != w.port || g.dg[0] != w.dg[0] {
-			t.Fatalf("handoff %d = %+v, want %+v", i, g, w)
-		}
-	}
-	if !owner.ShouldPark() {
-		t.Fatal("owner must park once drained")
-	}
-	if n := peer.Counters().Get("handoff_out").Load(); n != 2 {
-		t.Fatalf("handoff_out = %d, want 2", n)
-	}
-	if n := owner.Counters().Get("handoff_in").Load(); n != 2 {
-		t.Fatalf("handoff_in = %d, want 2", n)
-	}
-
-	// A second burst re-arms the kick: the edge trigger reset on drain.
-	peer.Ingest([]byte{1}, 1, 1)
-	if k := kicks.Load(); k != 2 {
-		t.Fatalf("kicks = %d, want 2 after drain reset the pending flag", k)
-	}
-}
-
-func TestLoopHandoffBackpressure(t *testing.T) {
-	var now atomic.Int64
-	owner, got := newOwnerLoop(&now, nil, 0, nil)
-	peer := NewLoop(LoopOptions{Owner: owner, MailboxCap: 2,
-		Now: func() time.Duration { return time.Duration(now.Load()) }})
-	for i := 0; i < 5; i++ {
-		peer.Ingest([]byte{byte(i)}, 0, 0)
-	}
-	if n := peer.Counters().Get("handoff_drops").Load(); n != 3 {
-		t.Fatalf("handoff_drops = %d, want 3 (ring cap 2)", n)
-	}
-	owner.Advance()
-	if len(*got) != 2 {
-		t.Fatalf("delivered %d, want the 2 that fit", len(*got))
+	if !l.ShouldPark() {
+		t.Fatal("ingest must not raise the pending flag")
 	}
 }
 
@@ -126,19 +56,32 @@ func TestLoopSubmitRunsInOwnerContext(t *testing.T) {
 	var now atomic.Int64
 	var kicks atomic.Uint64
 	owner, _ := newOwnerLoop(&now, &kicks, 0, nil)
-	ran := false
-	if !owner.Submit(func() { ran = true }) {
-		t.Fatal("Submit rejected on a live loop")
+	ran := 0
+	for i := 0; i < 2; i++ {
+		if !owner.Submit(func() { ran++ }) {
+			t.Fatal("Submit rejected on a live loop")
+		}
 	}
-	if ran {
+	if ran != 0 {
 		t.Fatal("command ran on the submitting goroutine")
 	}
-	if kicks.Load() == 0 {
-		t.Fatal("Submit must kick the parked owner")
+	if k := kicks.Load(); k != 1 {
+		t.Fatalf("kicks = %d, want exactly 1 (edge-triggered on 0→1)", k)
+	}
+	if owner.ShouldPark() {
+		t.Fatal("owner must not park with commands pending")
 	}
 	owner.Advance()
-	if !ran {
-		t.Fatal("Advance did not drain the command")
+	if ran != 2 {
+		t.Fatalf("Advance ran %d of 2 commands", ran)
+	}
+	if !owner.ShouldPark() {
+		t.Fatal("owner must park once drained")
+	}
+	// The drain reset the pending flag, so the next Submit kicks again.
+	owner.Submit(func() {})
+	if k := kicks.Load(); k != 2 {
+		t.Fatalf("kicks = %d, want 2 after the drain reset the pending flag", k)
 	}
 }
 
@@ -175,16 +118,15 @@ func TestLoopTickCadenceAndNextTick(t *testing.T) {
 	}
 }
 
-// TestLoopConcurrentHandoff runs a forwarding producer against a
-// consuming owner under the race detector: the full wake/park protocol
-// with no locks anywhere.
-func TestLoopConcurrentHandoff(t *testing.T) {
+// TestLoopConcurrentSubmit runs submitting goroutines against the
+// loop's own goroutine under the race detector: the full pending/kick
+// wake protocol with no lock. Every command must run exactly once, on
+// the loop, and none may be stranded by a kick that raced the drain.
+func TestLoopConcurrentSubmit(t *testing.T) {
 	var now atomic.Int64
-	var received atomic.Uint64
-	closed := make(chan struct{})
 	wake := make(chan struct{}, 1)
-	owner := NewLoop(LoopOptions{
-		Deliver: func(dg []byte, src uint32, port uint16, owned bool) { received.Add(1) },
+	l := NewLoop(LoopOptions{
+		Deliver: func([]byte, uint32, uint16) {},
 		Now:     func() time.Duration { return time.Duration(now.Load()) },
 		Kick: func() {
 			select {
@@ -192,35 +134,44 @@ func TestLoopConcurrentHandoff(t *testing.T) {
 			default:
 			}
 		},
-		Closed: closed,
 	})
-	peer := NewLoop(LoopOptions{Core: 1, Owner: owner, MailboxCap: 256,
-		Now: func() time.Duration { return time.Duration(now.Load()) }})
 
-	const total = 50000
+	const producers, each = 4, 5000
+	ran := 0 // touched only by commands, which run on this goroutine
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		dg := []byte{0}
-		for i := 0; i < total; i++ {
-			peer.Ingest(dg, uint32(i), 0)
-		}
-		close(closed)
-	}()
-	for {
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if !l.Submit(func() { ran++ }) {
+					t.Error("Submit rejected on a live loop")
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	for finished := false; !finished; {
 		select {
 		case <-wake:
-			owner.Advance()
-		case <-closed:
-			wg.Wait()
-			owner.Advance() // tail drain
-			sent := peer.Counters().Get("handoff_out").Load()
-			if got := received.Load(); got != sent {
-				t.Fatalf("received %d of %d handed off (%d dropped)",
-					got, sent, peer.Counters().Get("handoff_drops").Load())
-			}
-			return
+			l.Advance()
+		case <-done:
+			finished = true
 		}
+	}
+	// Every submit has returned. A command the loop did not drain yet
+	// must have left the pending flag raised (and a kick queued).
+	if ran != producers*each && l.ShouldPark() {
+		t.Fatalf("%d of %d commands stranded with the pending flag clear",
+			producers*each-ran, producers*each)
+	}
+	l.Advance()
+	if ran != producers*each {
+		t.Fatalf("ran %d of %d commands", ran, producers*each)
+	}
+	if !l.ShouldPark() {
+		t.Fatal("loop must park once drained")
 	}
 }

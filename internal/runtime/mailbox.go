@@ -5,38 +5,27 @@ import (
 	"time"
 )
 
-// mailSlot is one parked datagram. buf is the slot's reused backing for
-// copied pushes; view is what the consumer sees (buf for Push, the
-// producer's own memory for PushOwned).
+// mailSlot is one parked datagram in a reused backing buffer.
 type mailSlot struct {
-	buf   []byte
-	view  []byte
-	src   uint32
-	port  uint16
-	owned bool
-	at    time.Duration
+	buf  []byte
+	src  uint32
+	port uint16
+	at   time.Duration
 }
 
-// Mailbox is a bounded single-producer single-consumer ring for
-// cross-core datagram handoff. A datagram that arrives on a core that
-// does not own its engine is pushed here and drained by the owning
-// core at its next loop boundary — ownership transfers through the
-// ring's release/acquire pair, never through a mutex.
-//
-// Exactly one goroutine may push and exactly one may drain. The
-// producer publishes a slot by storing tail (release); the consumer
-// acquires it by loading tail, and frees it for reuse by storing head
-// after the dispatch callback returns. A full ring drops the datagram
-// and counts it: bounded memory and backpressure beat an unbounded
-// queue hiding overload, and the protocol already tolerates loss.
+// Mailbox is a bounded single-producer single-consumer datagram ring:
+// the producer publishes a slot by storing tail (release), the consumer
+// frees it by storing head after its callback returns. No data path
+// uses it — each node's socket is read by the loop that owns its engine.
+// It remains only because the ledger's runtime.mailbox_ns row
+// (bench/layers.go) compiles against NewMailbox, Push and Drain; it
+// goes with that row.
 type Mailbox struct {
 	slots []mailSlot
 	mask  uint64
 
-	head    atomic.Uint64 // next slot to drain (consumer-owned)
-	tail    atomic.Uint64 // next slot to fill (producer-owned)
-	pushed  atomic.Uint64
-	dropped atomic.Uint64
+	head atomic.Uint64 // next slot to drain (consumer-owned)
+	tail atomic.Uint64 // next slot to fill (producer-owned)
 }
 
 // NewMailbox builds a ring with at least the given capacity (rounded up
@@ -53,72 +42,33 @@ func NewMailbox(capacity int) *Mailbox {
 }
 
 // Push copies one datagram into the ring — the caller's buffer may be
-// reused immediately (recvmmsg slabs are). Returns false when the ring
-// is full; the datagram is dropped and counted.
+// reused immediately. Returns false when the ring is full and the
+// datagram was not taken.
 func (m *Mailbox) Push(dg []byte, src uint32, port uint16, at time.Duration) bool {
 	t := m.tail.Load()
 	if t-m.head.Load() >= uint64(len(m.slots)) {
-		m.dropped.Add(1)
 		return false
 	}
 	s := &m.slots[t&m.mask]
 	s.buf = append(s.buf[:0], dg...)
-	s.view = s.buf
-	s.src, s.port, s.owned, s.at = src, port, false, at
+	s.src, s.port, s.at = src, port, at
 	m.tail.Store(t + 1)
-	m.pushed.Add(1)
-	return true
-}
-
-// PushOwned parks one datagram by reference: the memory must stay valid
-// and immutable until the consumer's dispatch returns, and the consumer
-// may retain it afterwards (simnet client payloads are plain heap
-// memory with exactly this contract). Returns false when full.
-func (m *Mailbox) PushOwned(dg []byte, src uint32, port uint16, at time.Duration) bool {
-	t := m.tail.Load()
-	if t-m.head.Load() >= uint64(len(m.slots)) {
-		m.dropped.Add(1)
-		return false
-	}
-	s := &m.slots[t&m.mask]
-	s.view = dg
-	s.src, s.port, s.owned, s.at = src, port, true, at
-	m.tail.Store(t + 1)
-	m.pushed.Add(1)
 	return true
 }
 
 // Drain pops up to max parked datagrams in FIFO order, invoking fn for
-// each. owned reports the push mode: an owned view may be retained by
-// the handler (feed it Driver.Ingest); a copied view lives in a slot
-// that the producer reuses once head advances past it (feed it
-// Driver.IngestBorrowed). Returns the number dispatched.
+// each. The view lives in a slot the producer reuses once fn returns,
+// and owned is always false. Returns the number dispatched.
 func (m *Mailbox) Drain(max int, fn func(dg []byte, src uint32, port uint16, owned bool, at time.Duration)) int {
 	h := m.head.Load()
 	t := m.tail.Load()
 	n := 0
 	for h != t && n < max {
 		s := &m.slots[h&m.mask]
-		fn(s.view, s.src, s.port, s.owned, s.at)
-		if s.owned {
-			s.view = nil // drop the alias so the producer's memory can be collected
-		}
+		fn(s.buf, s.src, s.port, false, s.at)
 		h++
 		m.head.Store(h) // slot reusable only after fn returned
 		n++
 	}
 	return n
 }
-
-// Len reports the parked datagram count (racy across cores, exact from
-// either endpoint's own goroutine).
-func (m *Mailbox) Len() int { return int(m.tail.Load() - m.head.Load()) }
-
-// Cap reports the ring capacity.
-func (m *Mailbox) Cap() int { return len(m.slots) }
-
-// Pushed counts successful pushes over the mailbox lifetime.
-func (m *Mailbox) Pushed() uint64 { return m.pushed.Load() }
-
-// Dropped counts datagrams rejected because the ring was full.
-func (m *Mailbox) Dropped() uint64 { return m.dropped.Load() }

@@ -44,7 +44,7 @@ func NewAggregatorServer(listenAddr string, peers map[uint32]string) (*Aggregato
 	}
 	// The aggregator absorbs the whole cluster's AE fan-in; default
 	// socket buffers drop under that burst load.
-	setSockBufs([]*net.UDPConn{conn}, 0)
+	setSockBufs(conn, 0)
 	a := &AggregatorServer{
 		conn:   conn,
 		peers:  make(map[raft.NodeID]*net.UDPAddr),

@@ -2,13 +2,12 @@ package transport
 
 // Batch I/O layer: the syscall-amortized data plane under the UDP
 // transports. On Linux (amd64/arm64) batchio_linux.go drains and fills
-// many datagrams per syscall with recvmmsg/sendmmsg and shards ingress
-// across SO_REUSEPORT sockets; every other platform falls back to the
-// portable one-datagram-per-syscall stdlib path in batchio_fallback.go,
-// so `go build ./...` stays green on darwin and friends. Both
+// many datagrams per syscall with recvmmsg/sendmmsg; every other
+// platform falls back to the portable one-datagram-per-syscall stdlib
+// path in batchio_fallback.go, so `go build ./...` stays green on
+// darwin and friends. Both
 // implementations expose the same surface:
 //
-//	listenBatch  — bind N sockets to one address (N>1 needs reuseport)
 //	batchReader  — per-socket reader filling a slab of reused views
 //	sender       — per-socket vectored send: queue(addr, pkt)…, flush()
 //
@@ -32,17 +31,15 @@ const (
 	maxDatagram = 65536
 )
 
-// setSockBufs applies SO_RCVBUF/SO_SNDBUF to every socket. Errors are
+// setSockBufs applies SO_RCVBUF/SO_SNDBUF to the socket. Errors are
 // ignored: the sizes are a performance hint and the kernel clamps to
 // net.core.{r,w}mem_max anyway.
-func setSockBufs(conns []*net.UDPConn, bytes int) {
+func setSockBufs(c *net.UDPConn, bytes int) {
 	if bytes <= 0 {
 		bytes = defaultSockBuf
 	}
-	for _, c := range conns {
-		_ = c.SetReadBuffer(bytes)
-		_ = c.SetWriteBuffer(bytes)
-	}
+	_ = c.SetReadBuffer(bytes)
+	_ = c.SetWriteBuffer(bytes)
 }
 
 // sendTo transmits pkts to one destination and flushes.

@@ -3,10 +3,8 @@
 package transport
 
 // Portable batch I/O fallback: the same reader/sender surface as
-// batchio_linux.go, implemented one datagram per syscall on the stdlib.
-// Multi-socket ingress degrades to a single socket (SO_REUSEPORT
-// semantics differ across platforms), so deployments keep working —
-// just without the syscall amortization.
+// batchio_linux.go, implemented one datagram per syscall on the stdlib,
+// so deployments keep working — just without the syscall amortization.
 
 import (
 	"net"
@@ -18,16 +16,6 @@ import (
 // batchIOSupported reports that this build moves one datagram per
 // syscall (surfaced in DebugVars so deployments can verify).
 const batchIOSupported = false
-
-// listenBatch binds a single socket regardless of n; callers size their
-// reader pool off the returned slice.
-func listenBatch(addr *net.UDPAddr, n int) ([]*net.UDPConn, error) {
-	c, err := net.ListenUDP("udp4", addr)
-	if err != nil {
-		return nil, err
-	}
-	return []*net.UDPConn{c}, nil
-}
 
 // batchReader reads one datagram per call through ReadFromUDP, exposing
 // it through the same reused views/addrs/keys arrays as the Linux

@@ -13,7 +13,6 @@ package transport
 // here; everything else takes the portable fallback.
 
 import (
-	"context"
 	"fmt"
 	"net"
 	"runtime"
@@ -39,45 +38,6 @@ type mmsghdr struct {
 // htons swaps a port into network byte order. The build tag admits only
 // little-endian targets, so the swap is unconditional.
 func htons(p uint16) uint16 { return p<<8 | p>>8 }
-
-// soReusePort is SO_REUSEPORT, absent from the frozen stdlib syscall
-// constants (it postdates Linux 3.9).
-const soReusePort = 0xf
-
-// listenBatch binds n UDP sockets to addr. For n > 1 every socket sets
-// SO_REUSEPORT before bind, so the kernel shards ingress flows across
-// them by 4-tuple hash; n == 1 binds exactly as net.ListenUDP does.
-func listenBatch(addr *net.UDPAddr, n int) ([]*net.UDPConn, error) {
-	if n <= 1 {
-		c, err := net.ListenUDP("udp4", addr)
-		if err != nil {
-			return nil, err
-		}
-		return []*net.UDPConn{c}, nil
-	}
-	lc := net.ListenConfig{Control: func(network, address string, rc syscall.RawConn) error {
-		var serr error
-		cerr := rc.Control(func(fd uintptr) {
-			serr = syscall.SetsockoptInt(int(fd), syscall.SOL_SOCKET, soReusePort, 1)
-		})
-		if cerr != nil {
-			return cerr
-		}
-		return serr
-	}}
-	conns := make([]*net.UDPConn, 0, n)
-	for i := 0; i < n; i++ {
-		pc, err := lc.ListenPacket(context.Background(), "udp4", addr.String())
-		if err != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, fmt.Errorf("transport: reuseport socket %d: %w", i, err)
-		}
-		conns = append(conns, pc.(*net.UDPConn))
-	}
-	return conns, nil
-}
 
 // batchReader drains one socket with recvmmsg. All per-datagram state
 // (receive slots, sender addresses, derived R2P2 source keys) lives in

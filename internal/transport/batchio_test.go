@@ -8,10 +8,9 @@ import (
 )
 
 // TestBatchIORoundTrip pushes a burst through the platform batch I/O
-// layer: a sender-side vectored send into (up to) multi-socket
-// reuseport ingress, checking payload integrity, sender addresses, and
-// derived R2P2 source keys — the exact surface the server read loops
-// consume.
+// layer: a sender-side vectored send into a batch reader, checking
+// payload integrity, sender addresses, and derived R2P2 source keys —
+// the exact surface the server read loop consumes.
 func TestBatchIORoundTrip(t *testing.T) {
 	probe, err := newEphemeral()
 	if err != nil {
@@ -20,16 +19,12 @@ func TestBatchIORoundTrip(t *testing.T) {
 	addr := probe.LocalAddr().(*net.UDPAddr)
 	probe.Close()
 
-	conns, err := listenBatch(addr, 2)
+	conn, err := net.ListenUDP("udp4", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	setSockBufs(conns, 1<<20)
+	defer conn.Close()
+	setSockBufs(conn, 1<<20)
 
 	src, err := newEphemeral()
 	if err != nil {
@@ -53,34 +48,27 @@ func TestBatchIORoundTrip(t *testing.T) {
 		t.Fatalf("sender used %d syscalls for %d datagrams; no amortization", sn.syscalls, total)
 	}
 
-	// Drain every socket until all datagrams arrive (reuseport hashes
-	// one flow to one socket, so one reader may see everything).
+	// Read until all datagrams arrive.
 	got := make(map[string]bool)
 	deadline := time.Now().Add(2 * time.Second)
-	readers := make([]*batchReader, len(conns))
-	for i, c := range conns {
-		r, err := newBatchReader(c, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		readers[i] = r
+	r, err := newBatchReader(conn, 16)
+	if err != nil {
+		t.Fatal(err)
 	}
 	for len(got) < total && time.Now().Before(deadline) {
-		for i, r := range readers {
-			_ = conns[i].SetReadDeadline(time.Now().Add(50 * time.Millisecond))
-			n, err := r.read()
-			if err != nil {
-				continue
+		_ = conn.SetReadDeadline(time.Now().Add(50 * time.Millisecond))
+		n, err := r.read()
+		if err != nil {
+			continue
+		}
+		for j := 0; j < n; j++ {
+			got[string(r.views[j])] = true
+			from := r.addr(j)
+			if from.Port != srcAddr.Port {
+				t.Fatalf("datagram %q: sender port %d, want %d", r.views[j], from.Port, srcAddr.Port)
 			}
-			for j := 0; j < n; j++ {
-				got[string(r.views[j])] = true
-				from := r.addr(j)
-				if from.Port != srcAddr.Port {
-					t.Fatalf("datagram %q: sender port %d, want %d", r.views[j], from.Port, srcAddr.Port)
-				}
-				if r.keys[j] != ipKey(srcAddr) {
-					t.Fatalf("datagram %q: source key %#x, want %#x", r.views[j], r.keys[j], ipKey(srcAddr))
-				}
+			if r.keys[j] != ipKey(srcAddr) {
+				t.Fatalf("datagram %q: source key %#x, want %#x", r.views[j], r.keys[j], ipKey(srcAddr))
 			}
 		}
 	}
@@ -90,38 +78,6 @@ func TestBatchIORoundTrip(t *testing.T) {
 	for i := range pkts {
 		if !got[string(pkts[i])] {
 			t.Fatalf("datagram %q lost", pkts[i])
-		}
-	}
-}
-
-// TestListenBatchSocketCount pins the platform contract: Linux shards
-// across n reuseport sockets, the fallback binds exactly one.
-func TestListenBatchSocketCount(t *testing.T) {
-	probe, err := newEphemeral()
-	if err != nil {
-		t.Skipf("loopback UDP unavailable: %v", err)
-	}
-	addr := probe.LocalAddr().(*net.UDPAddr)
-	probe.Close()
-	conns, err := listenBatch(addr, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}()
-	want := 1
-	if batchIOSupported {
-		want = 4
-	}
-	if len(conns) != want {
-		t.Fatalf("listenBatch bound %d sockets, want %d", len(conns), want)
-	}
-	for _, c := range conns {
-		if got := c.LocalAddr().(*net.UDPAddr).Port; got != addr.Port {
-			t.Fatalf("socket bound to port %d, want %d", got, addr.Port)
 		}
 	}
 }

@@ -52,115 +52,91 @@ func BenchmarkLoopbackUDPThroughput(b *testing.B) {
 
 // BenchmarkDataplane measures the raw UDP data plane in isolation — no
 // consensus, just datagrams through the batch I/O layer — across the
-// deployment matrix of send/recv batch sizes and ingress socket counts.
-// The interesting outputs are dg/s (throughput) and dg/sendmmsg (how
-// many datagrams each send syscall amortizes; 1.0 on the portable
-// fallback, approaching the batch size on Linux).
+// send/recv batch sizes. The interesting outputs are dg/s (throughput)
+// and dg/sendmmsg (how many datagrams each send syscall amortizes; 1.0
+// on the portable fallback, approaching the batch size on Linux). The
+// sockets=1 suffix keeps the names of the committed baseline rows.
 func BenchmarkDataplane(b *testing.B) {
-	for _, sockets := range []int{1, 2, 4} {
-		for _, batch := range []int{1, 8, 32} {
-			b.Run(fmt.Sprintf("batch=%d/sockets=%d", batch, sockets), func(b *testing.B) {
-				benchDataplane(b, batch, sockets)
-			})
-		}
+	for _, batch := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("batch=%d/sockets=1", batch), func(b *testing.B) {
+			benchDataplane(b, batch)
+		})
 	}
 }
 
-func benchDataplane(b *testing.B, batch, sockets int) {
+func benchDataplane(b *testing.B, batch int) {
 	probe, err := newEphemeral()
 	if err != nil {
 		b.Skipf("loopback UDP unavailable: %v", err)
 	}
 	addr := probe.LocalAddr().(*net.UDPAddr)
 	probe.Close()
-	conns, err := listenBatch(addr, sockets)
+	conn, err := net.ListenUDP("udp4", addr)
 	if err != nil {
 		b.Fatal(err)
 	}
-	setSockBufs(conns, 8<<20)
+	setSockBufs(conn, 8<<20)
 
 	var received, stopped atomic.Uint64
 	var readerWG sync.WaitGroup
-	readers := make([]*batchReader, len(conns))
-	for i, c := range conns {
-		r, err := newBatchReader(c, batch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		readers[i] = r
-		readerWG.Add(1)
-		go func(r *batchReader) {
-			defer readerWG.Done()
-			for {
-				n, err := r.read()
-				if err != nil {
-					if stopped.Load() != 0 {
-						return
-					}
-					continue
-				}
-				received.Add(uint64(n))
-			}
-		}(r)
+	r, err := newBatchReader(conn, batch)
+	if err != nil {
+		b.Fatal(err)
 	}
+	readerWG.Add(1)
+	go func() {
+		defer readerWG.Done()
+		for {
+			n, err := r.read()
+			if err != nil {
+				if stopped.Load() != 0 {
+					return
+				}
+				continue
+			}
+			received.Add(uint64(n))
+		}
+	}()
 
-	// One source socket per ingress socket: distinct 4-tuples give the
-	// kernel's reuseport hash a chance to spread load.
-	nsend := len(conns)
 	payload := make([]byte, 512)
 	pkts := make([][]byte, batch)
 	for i := range pkts {
 		pkts[i] = payload
 	}
 	total := b.N
-	quota := make([]int, nsend)
-	for i := 0; i < nsend; i++ {
-		quota[i] = total / nsend
-	}
-	quota[0] += total % nsend
-	// In-flight window per sender, small enough that the receive buffers
-	// absorb every burst (loopback loss would skew the timing): 8 MiB of
-	// buffer holds several thousand 512 B datagrams even with kernel
-	// skb overhead.
+	// In-flight window, small enough that the receive buffer absorbs
+	// every burst (loopback loss would skew the timing): 8 MiB of buffer
+	// holds several thousand 512 B datagrams even with kernel skb
+	// overhead.
 	const window = 1024
+
+	src, err := newEphemeral()
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer src.Close()
+	rawSrc, err := src.SyscallConn()
+	if err != nil {
+		b.Fatal(err)
+	}
+	sn := newSender(src, rawSrc, batch)
 
 	b.ReportAllocs()
 	b.ResetTimer()
-	var sent atomic.Uint64
-	var sendWG sync.WaitGroup
-	senders := make([]*sender, nsend)
-	for i := 0; i < nsend; i++ {
-		src, err := newEphemeral()
-		if err != nil {
-			b.Fatal(err)
+	var sent uint64
+	for sent < uint64(total) {
+		if sent-received.Load() > window {
+			time.Sleep(20 * time.Microsecond)
+			continue
 		}
-		defer src.Close()
-		rawSrc, err := src.SyscallConn()
-		if err != nil {
-			b.Fatal(err)
+		n := uint64(total) - sent
+		if n > uint64(batch) {
+			n = uint64(batch)
 		}
-		sn := newSender(src, rawSrc, batch)
-		senders[i] = sn
-		sendWG.Add(1)
-		go func(q int) {
-			defer sendWG.Done()
-			for done := 0; done < q; {
-				if sent.Load()-received.Load() > window*uint64(nsend) {
-					time.Sleep(20 * time.Microsecond)
-					continue
-				}
-				n := q - done
-				if n > batch {
-					n = batch
-				}
-				sn.sendTo(addr, pkts[:n])
-				done += n
-				sent.Add(uint64(n))
-			}
-		}(quota[i])
+		sn.sendTo(addr, pkts[:n])
+		sent += n
 	}
-	sendWG.Wait()
-	// Drain the tail: wait until the receivers have caught up (or
+	// Drain the tail: wait until the receiver has caught up (or
 	// stalled, if the kernel dropped anything despite the window).
 	stallAt := time.Now()
 	for last := received.Load(); received.Load() < uint64(total); {
@@ -176,18 +152,11 @@ func benchDataplane(b *testing.B, batch, sockets int) {
 
 	got := received.Load()
 	b.ReportMetric(float64(got)/b.Elapsed().Seconds(), "dg/s")
-	var sendSys, sendDg uint64
-	for _, sn := range senders {
-		sendSys += sn.syscalls
-		sendDg += sn.datagrams
-	}
-	if sendSys > 0 {
-		b.ReportMetric(float64(sendDg)/float64(sendSys), "dg/sendmmsg")
+	if sn.syscalls > 0 {
+		b.ReportMetric(float64(sn.datagrams)/float64(sn.syscalls), "dg/sendmmsg")
 	}
 	stopped.Store(1)
-	for _, c := range conns {
-		c.Close()
-	}
+	conn.Close()
 	readerWG.Wait()
 	if got < uint64(total)*9/10 {
 		b.Fatalf("received %d of %d datagrams; loopback dropped past the window", got, total)
@@ -223,7 +192,6 @@ func BenchmarkLoopbackDurableThroughput(b *testing.B) {
 		s, err := NewServer(ServerConfig{
 			ID: id, Peers: peers, Mode: core.ModeHovercraft,
 			Storage:       fs,
-			Sockets:       2,
 			RecvBatch:     128,
 			TickInterval:  2 * time.Millisecond,
 			ElectionTicks: 20, HeartbeatTicks: 4,
@@ -315,7 +283,7 @@ func BenchmarkLoopbackUDPSaturated(b *testing.B) {
 	for id := uint32(1); id <= nodes; id++ {
 		s, err := NewServer(ServerConfig{
 			ID: id, Peers: peers, Mode: core.ModeHovercraft,
-			Bound: 128, TickInterval: time.Millisecond, Sockets: 1,
+			Bound: 128, TickInterval: time.Millisecond,
 		}, kvstore.New())
 		if err != nil {
 			b.Fatal(err)

@@ -99,7 +99,7 @@ func Dial(peerAddrs []string, opts ...ClientOptions) (*Client, error) {
 			return nil, fmt.Errorf("transport: client listen: %w", err)
 		}
 	}
-	setSockBufs([]*net.UDPConn{conn}, 0)
+	setSockBufs(conn, 0)
 	rawConn, err := conn.SyscallConn()
 	if err != nil {
 		conn.Close()

@@ -51,10 +51,10 @@ type clientKey struct {
 	port uint16
 }
 
-// aLongTimeAgo is an expired deadline: arming it interrupts a core loop
+// aLongTimeAgo is an expired deadline: arming it interrupts the loop
 // parked in its blocking batch read (the netpoller fails the read with
-// a timeout immediately), which is how cross-core producers kick the
-// owning core awake.
+// a timeout immediately), which is how a submitted command kicks the
+// loop awake.
 var aLongTimeAgo = time.Unix(1, 0)
 
 // ServerConfig configures one HovercRaft UDP node.
@@ -78,14 +78,9 @@ type ServerConfig struct {
 	TickInterval   time.Duration
 	ElectionTicks  int
 	HeartbeatTicks int
-	// Bound, Policy, DisableReplyLB mirror core.Config.
+	// Bound, DisableReplyLB mirror core.Config.
 	Bound          int
-	Policy         core.SelectPolicy
 	DisableReplyLB bool
-	// MaxInflightEntries / MaxBatchBytes mirror core.Config: replication
-	// pipelining depth and per-AE batch cap (0 = paper defaults).
-	MaxInflightEntries int
-	MaxBatchBytes      int
 	// Storage receives raft persistence callbacks (nil = volatile).
 	Storage raft.Storage
 	// Recovered, when set alongside Storage (from
@@ -94,28 +89,15 @@ type ServerConfig struct {
 	// CompactEvery enables raft log compaction every N applied entries
 	// when the service implements core.Snapshotter.
 	CompactEvery uint64
-	// Cores shards ingress across N per-core run-to-completion loops,
-	// each owning one SO_REUSEPORT socket (Linux; other platforms fall
-	// back to one core). The core selected by Affinity owns this node's
-	// engine end-to-end; the others forward their datagrams to it
-	// through bounded SPSC mailboxes. 0 defaults to Sockets, then 1.
-	Cores int
-	// Affinity pins this node's engine to one of the cores (modulo
-	// Cores). Multi-Raft deployments spread their groups across cores
-	// by setting shard % cores, so each core runs one engine and
-	// forwards for the rest.
-	Affinity int
-	// HandoffDepth bounds each cross-core mailbox in datagrams
-	// (0 = 1024); a full mailbox drops, counted in handoff_drops.
-	HandoffDepth int
-	// Sockets is the legacy name for Cores (one reuseport socket per
-	// core); used only when Cores is 0.
+	// Sockets exists only because the ledger's cluster (bench/cluster.go)
+	// sets it to 1; it goes when that caller does. A node reads one
+	// socket, so 0 and 1 are accepted and anything larger is rejected.
 	Sockets int
 	// RecvBatch / SendBatch cap datagrams per recvmmsg/sendmmsg
 	// syscall (0 = 32). Ignored where batch I/O is unsupported.
 	RecvBatch int
 	SendBatch int
-	// SockBufBytes sets SO_RCVBUF/SO_SNDBUF on every socket (0 = 2MB).
+	// SockBufBytes sets SO_RCVBUF/SO_SNDBUF on the socket (0 = 2MB).
 	// Kernel-default buffers (~212KB) silently drop bursts; the drop
 	// counter is surfaced as udp_rx_dropped in DebugVars.
 	SockBufBytes int
@@ -123,10 +105,9 @@ type ServerConfig struct {
 	// (per-stage windowed histograms). On by default: the instruments
 	// are lock-free and allocation-free, costing only clock reads.
 	DisableTelemetry bool
-	// TelemetryEpoch / TelemetryEpochs shape the sliding window
-	// (0 = obs defaults: 1s epochs, 10-epoch ring).
-	TelemetryEpoch  time.Duration
-	TelemetryEpochs int
+	// TelemetryEpoch sets the sliding window's epoch length (0 = the obs
+	// default of 1s; the ring keeps its default 10 epochs).
+	TelemetryEpoch time.Duration
 	// AdaptiveAdmission enables leader-side admission control: with no
 	// middlebox over plain UDP, the leader itself tracks the in-flight
 	// request window (consuming the FEEDBACK messages that previously
@@ -153,28 +134,18 @@ type ServerConfig struct {
 	// queueing, never staleness). 0 fetches as fast as one-in-flight
 	// batching allows.
 	ReadStalenessBudget time.Duration
-	// ReadNackAfter bounds how long a LIN_READ may queue before the
-	// replica NACKs it so the client redirects. 0 scales the engine's
-	// 500µs simulator default to kernel-UDP timers: 20 ticks.
-	ReadNackAfter time.Duration
-	// DriftTicks is the clock-drift margin subtracted from the election
-	// timeout when sizing the leader lease (0 = raft default).
-	DriftTicks int
 }
 
-// Server is a running HovercRaft node on one or more UDP sockets.
+// Server is a running HovercRaft node on one UDP socket.
 //
-// Data-plane shape: one run-to-completion loop per core, no engine
-// lock. Each of N SO_REUSEPORT sockets belongs to exactly one core
-// loop. The core selected by Affinity owns the engine: its loop drains
-// a recvmmsg batch, ingests it straight into the engine, drains
-// whatever the other cores handed over, ticks the protocol timer when
-// due, tells the engine the pass is over (core.Engine.EndBatch) and
-// flushes the egress the pass produced — all in one goroutine, so no
-// datagram ever crosses a mutex. Every other core's loop forwards its
-// batches into the owner through a bounded SPSC mailbox and kicks the
-// owner's read deadline so handoffs are drained at the next loop
-// boundary rather than the next tick.
+// Data-plane shape: one socket, read by one run-to-completion loop that
+// owns the engine, with no engine lock. Each pass drains a recvmmsg
+// batch, ingests it straight into the engine, ticks the protocol timer
+// when due, tells the engine the pass is over (core.Engine.EndBatch)
+// and flushes the egress the pass produced — all in one goroutine, so
+// no datagram ever crosses a mutex or a goroutine. A node scales out by
+// running more groups, each with its own socket and loop (Multi-Raft
+// shards), not by spreading one group's ingress across cores.
 //
 // Replication is event-driven: EndBatch is where the leader turns what
 // the pass ingested — new proposals, follower acks — into
@@ -188,29 +159,27 @@ type ServerConfig struct {
 // so the pass's replies join its egress batch. The service must
 // therefore be fast — a slow Execute delays heartbeats.
 //
-// All egress leaves through the owning core: datagrams produced while
-// the engine steps are queued on the owner's coalescer and one
-// sendmmsg per pass carries them to all their destinations. The flush
+// All egress leaves through the same loop: datagrams produced while the
+// engine steps are queued on its coalescer and one sendmmsg per pass
+// carries them to all their destinations. The flush
 // is also the durability barrier: when the storage group-commits
 // (raft.GroupCommitter), what the pass staged in the WAL is written
 // and fsynced once before any datagram that could acknowledge it
 // leaves the node.
 //
 // The control plane (IsLeader, Status, DebugVars, metrics) never
-// touches the engine either: the owner publishes a snapshot into
-// atomics every tick, and readers see that.
+// touches the engine either: the loop publishes a snapshot into atomics
+// every tick, and readers see that.
 type Server struct {
 	cfg     ServerConfig
-	conn    *net.UDPConn // the owning core's socket; all egress goes out here
-	conns   []*net.UDPConn
+	conn    *net.UDPConn
 	engine  *core.Engine
 	service app.Service
 	gc      raft.GroupCommitter // non-nil when Storage group-commits
 
-	// Owner-core state: everything below is reachable only from the
-	// owning core's loop (engine steps, state-machine operations,
-	// handoff drains, ticks, commands all run there). No lock — the
-	// Loop is the owner.
+	// Loop state: everything below is reachable only from the loop's
+	// goroutine (engine steps, state-machine operations, ticks, commands
+	// all run there). No lock — the Loop is the owner.
 	drv      *runtime.Driver
 	peers    map[raft.NodeID]*net.UDPAddr
 	agg      *net.UDPAddr
@@ -224,10 +193,8 @@ type Server struct {
 	admCtrl  *admission.Controller
 	admGC    time.Duration // next slot-leak sweep (telemetry clock)
 
-	start    time.Time
-	loops    []*runtime.Loop
-	owner    *runtime.Loop
-	affinity int
+	start time.Time
+	loop  *runtime.Loop
 
 	pub pubState // owner-published control-plane snapshot
 
@@ -284,53 +251,35 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: resolve self: %w", err)
 	}
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = cfg.Sockets
+	if cfg.Sockets > 1 {
+		return nil, fmt.Errorf("transport: Sockets = %d: a node reads one socket", cfg.Sockets)
 	}
-	if cores <= 0 {
-		cores = 1
-	}
-	conns, err := listenBatch(addr, cores)
+	conn, err := net.ListenUDP("udp4", addr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: listen: %w", err)
 	}
-	// The fallback build collapses to one socket regardless of the ask;
-	// the core count follows the sockets we actually have.
-	cores = len(conns)
-	aff := cfg.Affinity % cores
-	if aff < 0 {
-		aff += cores
-	}
-	setSockBufs(conns, cfg.SockBufBytes)
-	closeAll := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	rawConn, err := conns[aff].SyscallConn()
+	setSockBufs(conn, cfg.SockBufBytes)
+	rawConn, err := conn.SyscallConn()
 	if err != nil {
-		closeAll()
+		conn.Close()
 		return nil, fmt.Errorf("transport: raw conn: %w", err)
 	}
 	s := &Server{
-		cfg:      cfg,
-		conn:     conns[aff],
-		conns:    conns,
-		service:  svc,
-		peers:    make(map[raft.NodeID]*net.UDPAddr),
-		clients:  make(map[clientKey]*net.UDPAddr),
-		start:    time.Now(),
-		affinity: aff,
-		ctr:      stats.NewCounterSet(),
-		closed:   make(chan struct{}),
+		cfg:     cfg,
+		conn:    conn,
+		service: svc,
+		peers:   make(map[raft.NodeID]*net.UDPAddr),
+		clients: make(map[clientKey]*net.UDPAddr),
+		start:   time.Now(),
+		ctr:     stats.NewCounterSet(),
+		closed:  make(chan struct{}),
 	}
 	s.fromAddr.IP = s.fromIP[:]
 	s.gc, _ = cfg.Storage.(raft.GroupCommitter)
 	if !cfg.DisableTelemetry {
 		s.tel = obs.NewTelemetry(
 			func() time.Duration { return time.Since(s.start) },
-			cfg.TelemetryEpoch, cfg.TelemetryEpochs)
+			cfg.TelemetryEpoch, 0)
 	}
 	if cfg.AdaptiveAdmission {
 		limit := cfg.AdmissionLimit
@@ -365,7 +314,7 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	for id, pa := range cfg.Peers {
 		ua, err := net.ResolveUDPAddr("udp4", pa)
 		if err != nil {
-			closeAll()
+			conn.Close()
 			return nil, fmt.Errorf("transport: resolve peer %d: %w", id, err)
 		}
 		s.peers[raft.NodeID(id)] = ua
@@ -374,12 +323,12 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	if cfg.Aggregator != "" {
 		ua, err := net.ResolveUDPAddr("udp4", cfg.Aggregator)
 		if err != nil {
-			closeAll()
+			conn.Close()
 			return nil, fmt.Errorf("transport: resolve aggregator: %w", err)
 		}
 		s.agg = ua
 	} else if cfg.Mode == core.ModeHovercraftPP {
-		closeAll()
+		conn.Close()
 		return nil, errors.New("transport: HovercRaft++ needs an aggregator address")
 	}
 
@@ -387,11 +336,12 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	if sn, ok := svc.(core.Snapshotter); ok && cfg.CompactEvery > 0 {
 		snapshotter = sn
 	}
-	if cfg.ReadLease && cfg.ReadNackAfter <= 0 {
+	var readNackAfter time.Duration
+	if cfg.ReadLease {
 		// The engine's 500µs default assumes simulator latencies; kernel
 		// UDP timers are ms-scale, so give queued reads a few fetch
 		// round-trips before NACK-redirecting the client.
-		cfg.ReadNackAfter = 20 * cfg.TickInterval
+		readNackAfter = 20 * cfg.TickInterval
 	}
 	s.engine = core.NewEngine(core.Config{
 		Mode: cfg.Mode, ID: raft.NodeID(cfg.ID), Peers: ids,
@@ -399,24 +349,20 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		ElectionTicks:       cfg.ElectionTicks,
 		HeartbeatTicks:      cfg.HeartbeatTicks,
 		Bound:               cfg.Bound,
-		Policy:              cfg.Policy,
 		DisableReplyLB:      cfg.DisableReplyLB,
-		MaxInflightEntries:  cfg.MaxInflightEntries,
-		MaxBatchBytes:       cfg.MaxBatchBytes,
 		Storage:             cfg.Storage,
 		Snapshotter:         snapshotter,
 		CompactEvery:        cfg.CompactEvery,
 		Tel:                 s.tel,
 		ReadLease:           cfg.ReadLease,
 		ReadStalenessBudget: cfg.ReadStalenessBudget,
-		ReadNackAfter:       cfg.ReadNackAfter,
-		DriftTicks:          cfg.DriftTicks,
+		ReadNackAfter:       readNackAfter,
 		// Real networks have ms-scale timers; scale the unordered GC.
 		UnorderedTimeout: 10 * time.Second,
 	}, (*serverTransport)(s), (*serverRunner)(s))
 	if cfg.Recovered != nil {
 		if err := s.engine.Bootstrap(cfg.Recovered); err != nil {
-			closeAll()
+			conn.Close()
 			return nil, fmt.Errorf("transport: bootstrap: %w", err)
 		}
 	}
@@ -430,45 +376,24 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		Telemetry:     s.tel,
 	})
 
-	// One Loop per core; the affinity core owns the engine, the rest
-	// forward. Build the owner first so peers can register mailboxes.
-	s.loops = make([]*runtime.Loop, cores)
-	now := func() time.Duration { return time.Since(s.start) }
-	s.owner = runtime.NewLoop(runtime.LoopOptions{
-		Core:      aff,
+	s.loop = runtime.NewLoop(runtime.LoopOptions{
 		Deliver:   s.deliver,
 		Tick:      s.ownerTick,
 		TickEvery: cfg.TickInterval,
-		Now:       now,
+		Now:       func() time.Duration { return time.Since(s.start) },
 		Kick:      func() { _ = s.conn.SetReadDeadline(aLongTimeAgo) },
 		Flush:     s.flushOwned,
-		Telemetry: s.tel,
 		Closed:    s.closed,
 	})
-	s.loops[aff] = s.owner
-	for i := range conns {
-		if i == aff {
-			continue
-		}
-		s.loops[i] = runtime.NewLoop(runtime.LoopOptions{
-			Core:       i,
-			Owner:      s.owner,
-			MailboxCap: cfg.HandoffDepth,
-			Now:        now,
-			Closed:     s.closed,
-		})
-	}
 	s.publish()
 
-	s.wg.Add(len(conns))
-	for i, c := range conns {
-		r, err := newBatchReader(c, cfg.RecvBatch)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		go s.coreLoop(s.loops[i], r, c)
+	r, err := newBatchReader(conn, cfg.RecvBatch)
+	if err != nil {
+		conn.Close()
+		return nil, err
 	}
+	s.wg.Add(1)
+	go s.readLoop(r)
 	return s, nil
 }
 
@@ -497,14 +422,10 @@ func (s *Server) Status() raft.Status {
 
 // DebugVars snapshots the node's live state for the expvar endpoint:
 // engine message counters, raft status, client-table size, and the
-// per-core loop counters. Reads only published atomics and
+// data-plane counters. Reads only published atomics and
 // concurrency-safe counter sets, so it never stalls the data plane.
 func (s *Server) DebugVars() map[string]interface{} {
 	st := s.Status()
-	cores := make(map[string]interface{}, len(s.loops))
-	for i, lp := range s.loops {
-		cores[fmt.Sprintf("core%d", i)] = lp.Counters().Snapshot()
-	}
 	vars := map[string]interface{}{
 		"id":             s.cfg.ID,
 		"uptime_seconds": time.Since(s.start).Seconds(),
@@ -514,8 +435,6 @@ func (s *Server) DebugVars() map[string]interface{} {
 		"known_clients":  s.pub.clients.Load(),
 		"counters":       s.engine.Counters().Snapshot(),
 		"net":            s.NetStats(),
-		"cores":          cores,
-		"affinity":       s.affinity,
 	}
 	if fs, ok := s.cfg.Storage.(*raft.FileStorage); ok {
 		vars["wal_fsyncs"] = fs.SyncCount()
@@ -534,14 +453,12 @@ func (s *Server) DebugVars() map[string]interface{} {
 }
 
 // NetStats snapshots the data-plane counters: datagrams and syscalls
-// per direction (their ratio is the syscall-amortization factor), the
-// socket/batch shape, and the kernel's receive-drop counter for this
-// port — datagrams discarded because SO_RCVBUF overflowed, which never
-// reach userspace and previously went unobserved.
+// per direction (their ratio is the syscall-amortization factor),
+// whether batch I/O is in use, and the kernel's receive-drop counter
+// for this port — datagrams discarded because SO_RCVBUF overflowed,
+// which never reach userspace and previously went unobserved.
 func (s *Server) NetStats() map[string]uint64 {
 	out := s.ctr.Snapshot()
-	out["sockets"] = uint64(len(s.conns))
-	out["cores"] = uint64(len(s.loops))
 	if batchIOSupported {
 		out["batch_io"] = 1
 	} else {
@@ -557,7 +474,7 @@ func (s *Server) Telemetry() *obs.Telemetry { return s.tel }
 
 // RegisterMetrics publishes the node's live metrics into a scoped
 // registry view: raft role gauges, data-plane and engine counter sets,
-// per-core loop counters (coreN.*), socket/WAL health, and the
+// socket/WAL health, and the
 // per-stage queue-delay windows. Everything registered here shows up
 // uniformly in the expvar snapshot and the Prometheus /metrics
 // exposition.
@@ -578,18 +495,12 @@ func (s *Server) RegisterMetrics(sc *obs.Scoped) {
 	sc.Gauge("raft.applied_index", func() float64 { return float64(s.pub.applied.Load()) })
 	sc.CounterSet("net", s.ctr)
 	sc.CounterSet("engine", s.engine.Counters())
-	sc.Gauge("net.sockets", func() float64 { return float64(len(s.conns)) })
-	sc.Gauge("net.cores", func() float64 { return float64(len(s.loops)) })
-	sc.Gauge("net.affinity", func() float64 { return float64(s.affinity) })
 	sc.Gauge("net.batch_io", func() float64 {
 		if batchIOSupported {
 			return 1
 		}
 		return 0
 	})
-	for i, lp := range s.loops {
-		sc.CounterSet(fmt.Sprintf("core%d", i), lp.Counters())
-	}
 	// Kernel-side receive drops (SO_RCVBUF overflow): datagrams that
 	// never reached userspace, read from /proc at scrape time.
 	sc.Counter("net.udp_rx_dropped", func() uint64 { return kernelRxDrops(s.Addr().Port) })
@@ -609,10 +520,10 @@ func (s *Server) RegisterMetrics(sc *obs.Scoped) {
 }
 
 // Campaign triggers an immediate election (cluster bootstrap helper).
-// It runs in the owner loop's context like every other engine step.
+// It runs in the loop's context like every other engine step.
 func (s *Server) Campaign() {
 	done := make(chan struct{})
-	if !s.owner.Submit(func() {
+	if !s.loop.Submit(func() {
 		s.engine.Campaign()
 		s.publish()
 		close(done)
@@ -629,45 +540,39 @@ func (s *Server) Campaign() {
 func (s *Server) Close() error {
 	s.closeMu.Do(func() {
 		close(s.closed)
-		for _, c := range s.conns {
-			c.Close()
-		}
+		s.conn.Close()
 	})
 	s.wg.Wait()
 	return nil
 }
 
-// coreLoop is one core's goroutine, pinned to one socket for its whole
-// life. The owning core alternates between a deadline-bounded batch
-// read and Advance (handoff drain, tick, egress flush), re-kicking its
-// own deadline when a producer's wakeup raced the arm. Forwarding
-// cores just block on their socket and push each batch into the
-// owner's mailbox.
+// readLoop is the node's one data-plane goroutine, the owner of the
+// socket and the engine. It alternates between a deadline-bounded batch
+// read and Advance (commands, tick, egress flush), re-kicking its own
+// deadline when a Submit's wakeup raced the arm.
 //
-// The owner's read deadline is the next tick's absolute due time, armed
-// only when it differs from the one already on the socket: once per
-// tick rather than once per pass, because re-arming the runtime's
-// netpoll timer on every pass is a large share of a saturated loop's
-// CPU. A kick (or any read error) may have replaced the deadline on the
-// socket, so after one the owner forgets what it armed.
-func (s *Server) coreLoop(lp *runtime.Loop, r *batchReader, c *net.UDPConn) {
+// The read deadline is the next tick's absolute due time, armed only
+// when it differs from the one already on the socket: once per tick
+// rather than once per pass, because re-arming the runtime's netpoll
+// timer on every pass is a large share of a saturated loop's CPU. A
+// kick (or any read error) may have replaced the deadline on the
+// socket, so after one the loop forgets what it armed.
+func (s *Server) readLoop(r *batchReader) {
 	defer s.wg.Done()
-	owner := lp.IsOwner()
+	lp, c := s.loop, s.conn
 	armed := time.Duration(-1) // loop-clock deadline on the socket; -1: unknown
 	for {
-		if owner {
-			// Park at most until the next tick. The pending re-check
-			// must come after the arm: a producer that kicked between
-			// Advance and SetReadDeadline would otherwise have its
-			// expired deadline overwritten and wait out a full tick.
-			if at := lp.NextTick(); at != armed {
-				_ = c.SetReadDeadline(s.start.Add(at))
-				armed = at
-			}
-			if !lp.ShouldPark() {
-				_ = c.SetReadDeadline(aLongTimeAgo)
-				armed = -1
-			}
+		// Park at most until the next tick. The pending re-check must
+		// come after the arm: a Submit that kicked between Advance and
+		// SetReadDeadline would otherwise have its expired deadline
+		// overwritten and wait out a full tick.
+		if at := lp.NextTick(); at != armed {
+			_ = c.SetReadDeadline(s.start.Add(at))
+			armed = at
+		}
+		if !lp.ShouldPark() {
+			_ = c.SetReadDeadline(aLongTimeAgo)
+			armed = -1
 		}
 		n, err := r.read()
 		if err != nil {
@@ -676,45 +581,34 @@ func (s *Server) coreLoop(lp *runtime.Loop, r *batchReader, c *net.UDPConn) {
 				return
 			default:
 			}
-			if owner {
-				armed = -1
-				lp.Advance() // timeout or kick: tick and drain handoffs
-			}
+			armed = -1
+			lp.Advance() // timeout or kick: tick and run commands
 			continue
 		}
 		s.ctr.Get("ingress_datagrams").Add(uint64(n))
 		s.ctr.Get("ingress_syscalls").Inc()
-		if owner && s.tel.Active() {
+		if s.tel.Active() {
 			// Ingress queue delay: how long this batch waits between
 			// leaving the kernel and entering the engine. Run to
-			// completion makes this a clock-pair apart on the owning
-			// core — the stage exists to prove exactly that (handoffs
-			// from other cores record their real mailbox sojourn).
+			// completion makes this a clock-pair apart — the stage exists
+			// to prove exactly that.
 			t0 := s.tel.Now()
 			s.tel.RecordN(obs.QIngress, s.tel.Now()-t0, n)
 		}
 		for i := 0; i < n; i++ {
 			lp.Ingest(r.views[i], r.keys[i], uint16(r.addrs[i].Port))
 		}
-		if owner {
-			lp.Advance()
-		}
+		lp.Advance()
 	}
 }
 
-// deliver is the owner loop's ingest: rebuild the sender address from
-// the (ip, port) identity — uniform for direct and mailboxed datagrams
-// — and feed the driver. owned datagrams (none over UDP today; the
-// mailbox copies) may be retained by the handler.
-func (s *Server) deliver(dg []byte, src uint32, port uint16, owned bool) {
+// deliver is the loop's ingest: rebuild the sender address from the
+// (ip, port) identity and feed the driver the borrowed datagram.
+func (s *Server) deliver(dg []byte, src uint32, port uint16) {
 	binary.BigEndian.PutUint32(s.fromIP[:], src)
 	s.fromAddr.Port = int(port)
 	s.from = &s.fromAddr
-	if owned {
-		s.drv.Ingest(dg, src)
-	} else {
-		s.drv.IngestBorrowed(dg, src)
-	}
+	s.drv.IngestBorrowed(dg, src)
 }
 
 // ownerTick is the owner loop's timer body: admission window update,
@@ -723,7 +617,7 @@ func (s *Server) ownerTick() {
 	if s.admCtrl != nil {
 		// The controller reads the telemetry signal and resizes the
 		// window; its outputs are atomics, so only the middlebox-state
-		// writes (limit, hint, slot GC) touch owner-core state.
+		// writes (limit, hint, slot GC) touch loop state.
 		s.admCtrl.Tick()
 		s.admit.SetLimit(s.admCtrl.Window())
 		s.admit.NackHint = s.admCtrl.Hint()
@@ -808,7 +702,7 @@ func (s *Server) flushOwned() {
 
 // serverHandler adapts Server to runtime.Handler: it learns client
 // reply addresses from requests, then feeds the engine. It only ever
-// runs on the owning core.
+// runs on the loop.
 type serverHandler Server
 
 func (h *serverHandler) HandleMessage(m *r2p2.Msg) {
