@@ -121,8 +121,6 @@ type Config struct {
 	UnorderedTimeout time.Duration
 	// RecoveryRetryTicks paces recovery_request retransmissions.
 	RecoveryRetryTicks int
-	// GCEveryTicks paces unordered-store GC scans.
-	GCEveryTicks int
 
 	// Rand drives all randomized choices; required for deterministic
 	// simulation (nil seeds from ID).
@@ -168,18 +166,18 @@ type Config struct {
 	// the replica NACKs it so the client redirects — the read SLO guard
 	// against lagging followers and dead leaders. 0 selects 500µs.
 	ReadNackAfter time.Duration
-	// DriftTicks is the clock-drift margin subtracted from the election
-	// timeout to size the leader lease (see raft.Config.DriftTicks).
-	DriftTicks int
+}
 
-	// DedupWindow bounds the exactly-once RPC-ID cache: every replica
-	// remembers the last DedupWindow applied read-write request IDs with
+const (
+	// dedupWindow bounds the exactly-once RPC-ID cache: every replica
+	// remembers the last dedupWindow applied read-write request IDs with
 	// their replies, suppresses re-execution of retransmitted
 	// duplicates, and lets the designated replier answer a retry from
-	// the cache. 0 selects the default (65536); negative disables
-	// dedup entirely (at-least-once semantics, the pre-cache behavior).
-	DedupWindow int
-}
+	// the cache.
+	dedupWindow = 65536
+	// gcEveryTicks paces unordered-store GC scans.
+	gcEveryTicks = 256
+)
 
 // Snapshotter captures and restores application state for log
 // compaction. Calls happen in the engine's execution context between
@@ -212,14 +210,8 @@ func (c *Config) defaults() {
 	if c.RecoveryRetryTicks <= 0 {
 		c.RecoveryRetryTicks = 50
 	}
-	if c.GCEveryTicks <= 0 {
-		c.GCEveryTicks = 256
-	}
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(int64(c.ID) * 31))
-	}
-	if c.DedupWindow == 0 {
-		c.DedupWindow = 65536
 	}
 	if c.ReadNackAfter <= 0 {
 		c.ReadNackAfter = 500 * time.Microsecond
@@ -231,10 +223,10 @@ func (c *Config) defaults() {
 // driven by HandleMessage and Tick; it is not safe for concurrent use.
 //
 // Single-owner contract: exactly one execution context may ever call
-// into an Engine — the simulator's event loop, or the runtime.Loop that
+// into an Engine — the simulator's event loop, or the goroutine that
 // reads the UDP transport's socket. There is no engine lock to take;
-// work originating elsewhere (a bootstrap Campaign) must be handed to
-// the owner through its command queue and run from there.
+// work originating elsewhere (a bootstrap Campaign) is queued for the
+// owner, which runs it at its next tick.
 // Anything the owner wants to expose to other goroutines (status,
 // admission gauges) is published into atomics, never read directly.
 type Engine struct {
@@ -301,10 +293,9 @@ type Engine struct {
 	recoveryDue  uint64                    // tick when the next recovery burst may go
 	lastTermSeen uint64
 
-	// Exactly-once machinery: dedup remembers applied read-write IDs
-	// (nil when disabled); inLog tracks IDs this leader has proposed but
-	// not yet applied, so a retransmit arriving mid-flight is not
-	// proposed twice.
+	// Exactly-once machinery: dedup remembers applied read-write IDs;
+	// inLog tracks IDs this leader has proposed but not yet applied, so
+	// a retransmit arriving mid-flight is not proposed twice.
 	dedup *DedupCache
 	inLog map[r2p2.RequestID]bool
 
@@ -387,9 +378,7 @@ func NewEngine(cfg Config, transport Transport, runner AppRunner) *Engine {
 		sentCommit: make(map[raft.NodeID]uint64),
 		heardTerm:  make(map[raft.NodeID]uint64),
 		inLog:      make(map[r2p2.RequestID]bool),
-	}
-	if cfg.DedupWindow > 0 {
-		e.dedup = NewDedupCache(cfg.DedupWindow)
+		dedup:      NewDedupCache(dedupWindow),
 	}
 	e.applyDone = e.finishApply
 	e.readDone = e.finishRead
@@ -403,7 +392,6 @@ func NewEngine(cfg Config, transport Transport, runner AppRunner) *Engine {
 		MaxEntriesPerAppend: cfg.MaxEntriesPerAppend,
 		MaxInflightEntries:  cfg.MaxInflightEntries,
 		MaxBatchBytes:       cfg.MaxBatchBytes,
-		DriftTicks:          cfg.DriftTicks,
 		Rand:                cfg.Rand,
 		Storage:             cfg.Storage,
 	})
@@ -442,9 +430,7 @@ func (e *Engine) Bootstrap(rs *raft.RecoveredState) error {
 		if err := e.cfg.Snapshotter.Restore(app); err != nil {
 			return err
 		}
-		if e.dedup != nil {
-			e.dedup.seedFromSnapshot(ids)
-		}
+		e.dedup.seedFromSnapshot(ids)
 		e.lastRestored = rs.SnapIdx
 	}
 	// A follower's WAL holds metadata-only entries (bodies travel by
@@ -457,7 +443,7 @@ func (e *Engine) Bootstrap(rs *raft.RecoveredState) error {
 		if le == nil || le.Kind == raft.KindNoop || le.Data != nil {
 			continue
 		}
-		if e.dedup != nil && le.Kind == raft.KindReadWrite && e.dedup.Seen(le.ID) {
+		if le.Kind == raft.KindReadWrite && e.dedup.Seen(le.ID) {
 			continue // duplicate of a snapshotted request; never executed
 		}
 		e.noteMissing(i, le.ID)
@@ -478,7 +464,7 @@ func (e *Engine) Unordered() *UnorderedStore { return e.unordered }
 // Queues exposes the bounded queues (tests).
 func (e *Engine) Queues() *BoundedQueues { return e.queues }
 
-// Dedup exposes the exactly-once reply cache (tests; nil when disabled).
+// Dedup exposes the exactly-once reply cache (tests).
 func (e *Engine) Dedup() *DedupCache { return e.dedup }
 
 // IsLeader reports whether this node currently leads.
@@ -504,7 +490,7 @@ func (e *Engine) Tick() {
 	} else {
 		e.reportApplied()
 	}
-	if e.ticks%uint64(e.cfg.GCEveryTicks) == 0 {
+	if e.ticks%gcEveryTicks == 0 {
 		e.unordered.GC(e.now)
 	}
 	e.retryRecovery()
@@ -573,7 +559,7 @@ func (e *Engine) handleClientRequest(m *r2p2.Msg) {
 	// write is answered from the reply cache, never re-proposed or even
 	// parked. Read-only requests are not deduplicated — re-reading is
 	// harmless and the reply may legitimately differ.
-	if e.dedup != nil && kind == raft.KindReadWrite {
+	if kind == raft.KindReadWrite {
 		if reply, replier, hasReply, ok := e.dedup.Lookup(m.ID); ok {
 			e.counters.Get("rx_req_dup").Inc()
 			if hasReply && e.shouldAnswerDup(replier) {
@@ -1261,7 +1247,7 @@ func (e *Engine) becomeLeader() {
 		if ids[ent.ID] {
 			continue // already in the inherited log
 		}
-		if e.dedup != nil && ent.Kind == raft.KindReadWrite && e.dedup.Seen(ent.ID) {
+		if ent.Kind == raft.KindReadWrite && e.dedup.Seen(ent.ID) {
 			continue
 		}
 		if _, err := e.propose(ent); err != nil {
@@ -1300,7 +1286,7 @@ func (e *Engine) maybeApply() {
 			// announce follows at the next pace (same loop pass).
 			return
 		}
-		if e.dedup != nil && le.Kind == raft.KindReadWrite {
+		if le.Kind == raft.KindReadWrite {
 			if reply, _, hasReply, ok := e.dedup.Lookup(le.ID); ok {
 				// Duplicate of an already-executed write: a client
 				// retransmission that a (new) leader ordered again.
@@ -1334,7 +1320,7 @@ func (e *Engine) maybeApply() {
 			e.markApplied(next)
 			continue
 		}
-		if e.dedup != nil && le.Kind == raft.KindReadWrite {
+		if le.Kind == raft.KindReadWrite {
 			// Register the ID before execution starts so a retransmit
 			// arriving mid-execution is suppressed, not re-proposed; the
 			// reply bytes are filled in by the done callback below.
@@ -1371,7 +1357,7 @@ func (e *Engine) finishApply(reply []byte) {
 	if entry.Index > e.node.Log().Applied() {
 		e.markApplied(entry.Index)
 	}
-	if e.dedup != nil && entry.Kind == raft.KindReadWrite {
+	if entry.Kind == raft.KindReadWrite {
 		r := reply
 		if r == nil {
 			r = []byte{} // nil means "reply unknown" in the cache
@@ -1534,11 +1520,9 @@ func (e *Engine) maybeSnapshot() {
 			return
 		}
 		if err := e.cfg.Snapshotter.Restore(app); err == nil {
-			if e.dedup != nil {
-				// Keep suppressing duplicates of writes whose effects
-				// are baked into the restored state.
-				e.dedup.seedFromSnapshot(ids)
-			}
+			// Keep suppressing duplicates of writes whose effects are
+			// baked into the restored state.
+			e.dedup.seedFromSnapshot(ids)
 			e.lastRestored = si
 			e.counters.Get("snap_restored").Inc()
 			// Entries below the snapshot can never need recovery now.

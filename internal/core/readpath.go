@@ -21,7 +21,7 @@ import (
 // read_stale_served, which must remain zero): a read executes only when
 // applied >= its read index, and the read index was captured at a node
 // that provably led the cluster at capture time — via a quorum-echoed
-// lease probe within the last ElectionTicks-DriftTicks ticks, or via an
+// lease probe within the lease length (raft leaseTicks), or via an
 // explicit post-capture quorum round. See DESIGN.md §4.15 for why no
 // rival leader can commit a write the read misses.
 

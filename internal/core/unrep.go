@@ -41,7 +41,7 @@ func NewUnreplicatedEngine(transport Transport, runner AppRunner) *UnreplicatedE
 		transport: transport,
 		runner:    runner,
 		counters:  stats.NewCounterSet(),
-		dedup:     NewDedupCache(65536),
+		dedup:     NewDedupCache(dedupWindow),
 	}
 }
 

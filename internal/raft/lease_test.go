@@ -74,7 +74,7 @@ func TestLeaseExpiresUnderPartition(t *testing.T) {
 
 	// Isolate the leader: its probes stop being echoed, so the ack
 	// watermark freezes and the lease must lapse within
-	// ElectionTicks-DriftTicks ticks.
+	// the lease length (leaseTicks).
 	for id := range c.nodes {
 		if id != lead.ID() {
 			c.cut[lead.ID()] = map[NodeID]bool{}
@@ -108,8 +108,8 @@ func TestLeaseExpiresUnderPartition(t *testing.T) {
 // design rests on: by the time any rival wins an election, the old
 // leader's lease has already lapsed — so it can never lease-serve a
 // read that a new leader's committed writes would make stale. All nodes
-// tick in lockstep here, modelling zero drift; DriftTicks covers the
-// real-world skew on top.
+// tick in lockstep here, modelling zero drift; the lease's drift margin
+// covers the real-world skew on top.
 func TestLeaseExpiresBeforeRivalElected(t *testing.T) {
 	for seed := 0; seed < 20; seed++ {
 		c := newCluster(t, 3)

@@ -33,14 +33,6 @@ type Config struct {
 	// MTU payload size keeps every metadata append in a single datagram
 	// and lets the pipeline (see MaxInflightEntries) provide throughput.
 	MaxBatchBytes int
-	// DriftTicks is the clock-drift safety margin of the leader lease:
-	// the lease extends ElectionTicks-DriftTicks ticks past the
-	// quorum-ack watermark (see LeaseValid). A follower that echoed a
-	// probe will not grant a vote for at least ElectionTicks of its own
-	// clock; DriftTicks covers its clock running fast relative to the
-	// leader's. Defaults to ElectionTicks/10 (minimum 1) and is clamped
-	// so the lease never reaches the full election timeout.
-	DriftTicks int
 	// Rand supplies election jitter. Required for determinism under the
 	// simulator; nil uses a fixed-seed source.
 	Rand *rand.Rand
@@ -76,15 +68,6 @@ func (c *Config) validate() error {
 	}
 	if c.MaxInflightEntries <= 0 {
 		c.MaxInflightEntries = 4096
-	}
-	if c.DriftTicks <= 0 {
-		c.DriftTicks = c.ElectionTicks / 10
-		if c.DriftTicks < 1 {
-			c.DriftTicks = 1
-		}
-	}
-	if c.DriftTicks >= c.ElectionTicks {
-		c.DriftTicks = c.ElectionTicks - 1
 	}
 	if c.Rand == nil {
 		c.Rand = rand.New(rand.NewSource(int64(c.ID)))
@@ -564,12 +547,19 @@ func (n *Node) AckWatermark() uint64 {
 	return probes[n.Quorum()-1]
 }
 
-// leaseTicks is the lease length: the election timeout minus the
-// configured clock-drift bound. resetElectionTimer randomizes actual
-// follower timeouts in [ElectionTicks, 2*ElectionTicks), so the base
-// ElectionTicks is already the conservative end.
+// leaseTicks is the lease length: the election timeout minus a
+// clock-drift margin. The lease extends that many ticks past the
+// quorum-ack watermark (see LeaseValid). A follower that echoed a
+// probe will not grant a vote for at least ElectionTicks of its own
+// clock; the margin, ElectionTicks/10 clamped to [1, ElectionTicks-1],
+// covers its clock running fast relative to the leader's, and the
+// clamp keeps the lease short of the full election timeout.
+// resetElectionTimer randomizes actual follower timeouts in
+// [ElectionTicks, 2*ElectionTicks), so the base ElectionTicks is
+// already the conservative end.
 func (n *Node) leaseTicks() uint64 {
-	return uint64(n.cfg.ElectionTicks - n.cfg.DriftTicks)
+	drift := min(max(n.cfg.ElectionTicks/10, 1), n.cfg.ElectionTicks-1)
+	return uint64(n.cfg.ElectionTicks - drift)
 }
 
 // termCommitted reports whether this term's noop has committed — before
@@ -581,8 +571,8 @@ func (n *Node) termCommitted() bool {
 }
 
 // LeaseValid reports whether the leader currently holds a read lease:
-// a quorum acknowledged one of its probes within the last
-// ElectionTicks-DriftTicks ticks, and this term's noop has committed.
+// a quorum acknowledged one of its probes within the lease length
+// (leaseTicks), and this term's noop has committed.
 // While it holds, no other node can win an election, so the local
 // commit index is linearizable to read from without a network round.
 func (n *Node) LeaseValid() bool {

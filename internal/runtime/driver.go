@@ -4,12 +4,8 @@
 // the real UDP transport feed their engines exclusively through a
 // Driver, so the protocol hot path runs identically in both worlds and
 // the reassembly buffer-ownership rules live in exactly one place.
-//
-// The package also owns the execution model around the Driver: a Loop
-// is the single execution context allowed to touch one engine
-// (run-to-completion, no locks). Over UDP that loop is the goroutine
-// reading the node's one socket; the simulator does not model cores,
-// and each simulated node is one owner ingesting every packet in place.
+// A Driver takes no lock: its caller serializes every call — the
+// simulator's event loop, the goroutine reading a UDP node's socket.
 package runtime
 
 import (
@@ -58,9 +54,7 @@ type Options struct {
 }
 
 // Driver feeds one Handler from raw datagrams. It is not safe for
-// concurrent use and is never locked: exactly one execution context
-// owns it — the simulator's single event loop, or the Loop reading the
-// UDP transport's socket.
+// concurrent use.
 type Driver struct {
 	h       Handler
 	reasm   *r2p2.Reassembler

@@ -11,14 +11,18 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 	"time"
 )
 
-// subBuckets is the number of linear sub-buckets per power-of-two bucket.
-// 32 sub-buckets bound the relative quantile error at ~3%.
-const subBuckets = 32
+// subBits sets the linear sub-bucket count per power-of-two bucket:
+// 2^5 = 32 sub-buckets bound the relative quantile error at ~3%.
+const (
+	subBits    = 5
+	subBuckets = 1 << subBits
+)
 
 // Histogram is a log-linear histogram of int64 values (typically
 // nanoseconds). The zero value is not usable; call NewHistogram.
@@ -44,50 +48,35 @@ func NewHistogram() *Histogram {
 	}
 }
 
-// bucketIndex maps a value to its bucket slot.
-func bucketIndex(v int64) int {
-	if v < 0 {
-		v = 0
+// bucketIndex maps a value to its slot in a log-linear layout with 2^b
+// linear sub-buckets per power of two, the layout of both Histogram
+// (b = subBits) and AtomicHist (b = wSubBits). Values below 2^b have
+// exact slots (negative values clamp to slot 0); above, a value whose
+// highest set bit is exp lands in slot (exp−b+1)·2^b + sub, where sub
+// is the b bits below that highest bit.
+func bucketIndex(v int64, b int) int {
+	if v < 1<<b {
+		return int(max(v, 0))
 	}
-	if v < subBuckets {
-		// The first power-of-two ranges collapse: values below
-		// subBuckets are exact.
-		return int(v)
-	}
-	// exp is the index of the highest set bit.
-	exp := 63 - leadingZeros64(uint64(v))
-	// Position within the bucket, scaled into subBuckets slots.
-	shift := exp - 5 // log2(subBuckets)
-	sub := int(v>>uint(shift)) & (subBuckets - 1)
-	return (exp-4)*subBuckets + sub
+	exp := 63 - bits.LeadingZeros64(uint64(v))
+	sub := int(v>>(exp-b)) & (1<<b - 1)
+	return (exp-b+1)<<b + sub
 }
 
-// bucketLow returns the smallest value mapping to slot i (inverse of
-// bucketIndex, rounded down).
-func bucketLow(i int) int64 {
-	if i < subBuckets {
+// bucketLow returns the smallest value mapping to slot i (the inverse
+// of bucketIndex, rounded down).
+func bucketLow(i, b int) int64 {
+	if i < 1<<b {
 		return int64(i)
 	}
-	exp := i/subBuckets + 4
-	sub := i % subBuckets
-	return (1 << uint(exp)) | int64(sub)<<uint(exp-5)
-}
-
-func leadingZeros64(x uint64) int {
-	n := 0
-	if x == 0 {
-		return 64
-	}
-	for x&(1<<63) == 0 {
-		x <<= 1
-		n++
-	}
-	return n
+	exp := i>>b + b - 1
+	sub := int64(i & (1<<b - 1))
+	return 1<<exp | sub<<(exp-b)
 }
 
 // Record adds a single observation.
 func (h *Histogram) Record(v int64) {
-	idx := bucketIndex(v)
+	idx := bucketIndex(v, subBits)
 	if idx >= len(h.counts) {
 		idx = len(h.counts) - 1
 	}
@@ -156,7 +145,7 @@ func (h *Histogram) Quantile(q float64) int64 {
 	for i, c := range h.counts {
 		seen += c
 		if seen >= rank {
-			v := bucketLow(i)
+			v := bucketLow(i, subBits)
 			if v < h.min {
 				v = h.min
 			}
@@ -180,7 +169,7 @@ func (h *Histogram) FractionAbove(v int64) float64 {
 	if h.count == 0 {
 		return 0
 	}
-	idx := bucketIndex(v)
+	idx := bucketIndex(v, subBits)
 	if idx >= len(h.counts) {
 		idx = len(h.counts) - 1
 	}

@@ -198,7 +198,7 @@ func TestBucketIndexMonotone(t *testing.T) {
 	// bucketIndex must be monotone non-decreasing in v.
 	prev := -1
 	for v := int64(0); v < 1_000_000; v += 37 {
-		idx := bucketIndex(v)
+		idx := bucketIndex(v, subBits)
 		if idx < prev {
 			t.Fatalf("bucketIndex not monotone at %d: %d < %d", v, idx, prev)
 		}
@@ -211,9 +211,9 @@ func TestBucketLowInvertsIndex(t *testing.T) {
 	// bound lands in the same bucket.
 	f := func(raw uint32) bool {
 		v := int64(raw)
-		idx := bucketIndex(v)
-		low := bucketLow(idx)
-		return low <= v && bucketIndex(low) == idx
+		idx := bucketIndex(v, subBits)
+		low := bucketLow(idx, subBits)
+		return low <= v && bucketIndex(low, subBits) == idx
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Fatal(err)
@@ -362,5 +362,78 @@ func TestCounterSet(t *testing.T) {
 	}
 	if cs.String() != "rx=0 tx=0" {
 		t.Fatalf("string = %q", cs.String())
+	}
+}
+
+// TestBucketLayoutMatchesReference sweeps values across every exponent
+// at both resolutions (Histogram's 5 sub-bucket bits, AtomicHist's 4)
+// and checks the shared bucketIndex/bucketLow against the two formulas
+// they replaced, written out here with a shift-loop leading-zero count.
+func TestBucketLayoutMatchesReference(t *testing.T) {
+	clz := func(x uint64) int {
+		n := 0
+		for x&(1<<63) == 0 {
+			x <<= 1
+			n++
+		}
+		return n
+	}
+	refIndex32 := func(v int64) int {
+		if v < 0 {
+			v = 0
+		}
+		if v < 32 {
+			return int(v)
+		}
+		exp := 63 - clz(uint64(v))
+		return (exp-4)*32 + int(v>>uint(exp-5))&31
+	}
+	refLow32 := func(i int) int64 {
+		if i < 32 {
+			return int64(i)
+		}
+		exp := i/32 + 4
+		return 1<<uint(exp) | int64(i%32)<<uint(exp-5)
+	}
+	refIndex16 := func(v int64) int {
+		if v < 16 {
+			return int(v)
+		}
+		exp := 63 - clz(uint64(v))
+		return (exp-3)*16 + int(v>>uint(exp-4))&15
+	}
+	refLow16 := func(i int) int64 {
+		if i < 16 {
+			return int64(i)
+		}
+		exp := i/16 + 3
+		return 1<<uint(exp) | int64(i%16)<<uint(exp-4)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var vals []int64
+	for exp := 0; exp < 63; exp++ {
+		lo := int64(1) << exp
+		vals = append(vals, lo, lo-1, lo+1, 2*lo-1, lo+rng.Int63n(lo))
+	}
+	vals = append(vals, 0, -1, -1000)
+	for _, v := range vals {
+		if got, want := bucketIndex(v, subBits), refIndex32(v); got != want {
+			t.Fatalf("bucketIndex(%d, 5) = %d, want %d", v, got, want)
+		}
+		if v >= 0 {
+			if got, want := bucketIndex(v, wSubBits), refIndex16(v); got != want {
+				t.Fatalf("bucketIndex(%d, 4) = %d, want %d", v, got, want)
+			}
+		}
+	}
+	for i := 0; i < 63*subBuckets; i++ {
+		if got, want := bucketLow(i, subBits), refLow32(i); got != want {
+			t.Fatalf("bucketLow(%d, 5) = %d, want %d", i, got, want)
+		}
+	}
+	for i := 0; i < wBuckets; i++ {
+		if got, want := bucketLow(i, wSubBits), refLow16(i); got != want {
+			t.Fatalf("bucketLow(%d, 4) = %d, want %d", i, got, want)
+		}
 	}
 }

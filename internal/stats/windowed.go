@@ -26,27 +26,6 @@ const (
 	wClamp   = int64(1)<<wMaxExp + (int64(1)<<wMaxExp - 1)
 )
 
-// wBucketIndex maps a non-negative value to its slot (same log-linear
-// layout as Histogram, at wSub resolution).
-func wBucketIndex(v int64) int {
-	if v < wSub {
-		return int(v)
-	}
-	exp := 63 - leadingZeros64(uint64(v))
-	sub := int(v>>uint(exp-wSubBits)) & (wSub - 1)
-	return (exp-wSubBits+1)*wSub + sub
-}
-
-// wBucketLow is the smallest value mapping to slot i.
-func wBucketLow(i int) int64 {
-	if i < wSub {
-		return int64(i)
-	}
-	exp := i/wSub + wSubBits - 1
-	sub := i % wSub
-	return (1 << uint(exp)) | int64(sub)<<uint(exp-wSubBits)
-}
-
 // AtomicHist is a fixed-bucket log-linear histogram whose every counter
 // is atomic: concurrent recorders never contend on a lock and never
 // allocate. The zero value is ready to use.
@@ -76,7 +55,7 @@ func (h *AtomicHist) add(v int64, n uint64, over bool) {
 	if v > wClamp {
 		v = wClamp
 	}
-	h.counts[wBucketIndex(v)].Add(n)
+	h.counts[bucketIndex(v, wSubBits)].Add(n)
 	h.count.Add(n)
 	h.sum.Add(v * int64(n))
 	if over {
@@ -144,7 +123,7 @@ func (m *histMerge) quantile(q float64) int64 {
 	for i := range m.counts {
 		seen += m.counts[i]
 		if seen >= rank {
-			v := wBucketLow(i)
+			v := bucketLow(i, wSubBits)
 			if v > m.max && m.max > 0 {
 				v = m.max
 			}

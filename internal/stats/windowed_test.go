@@ -11,13 +11,13 @@ import (
 // must map back to that slot, and indexes must be monotone in value.
 func TestWBucketRoundTrip(t *testing.T) {
 	for i := 0; i < wBuckets; i++ {
-		if got := wBucketIndex(wBucketLow(i)); got != i {
-			t.Fatalf("wBucketIndex(wBucketLow(%d)) = %d", i, got)
+		if got := bucketIndex(bucketLow(i, wSubBits), wSubBits); got != i {
+			t.Fatalf("bucketIndex(bucketLow(%d)) = %d", i, got)
 		}
 	}
 	prev := -1
 	for _, v := range []int64{0, 1, 15, 16, 17, 31, 32, 1000, 1 << 20, 1 << 30, wClamp} {
-		idx := wBucketIndex(v)
+		idx := bucketIndex(v, wSubBits)
 		if idx < prev {
 			t.Fatalf("bucket index not monotone at %d", v)
 		}

@@ -19,11 +19,12 @@ import (
 // real deployment would use switch multicast).
 type AggregatorServer struct {
 	conn  *net.UDPConn
-	agg   *core.Aggregator
 	peers map[raft.NodeID]*net.UDPAddr
 
-	mu    sync.Mutex
+	// Touched only by readLoop, so unlocked.
+	agg   *core.Aggregator
 	drv   *runtime.Driver
+	reasm time.Duration // reassembly timeout, also the GC period
 	start time.Time
 
 	closed  chan struct{}
@@ -34,6 +35,12 @@ type AggregatorServer struct {
 // NewAggregatorServer binds the aggregator to listenAddr for the given
 // cluster membership.
 func NewAggregatorServer(listenAddr string, peers map[uint32]string) (*AggregatorServer, error) {
+	return newAggregatorServer(listenAddr, peers, 2*time.Second)
+}
+
+// newAggregatorServer is NewAggregatorServer with the fragment
+// reassembly timeout as a parameter.
+func newAggregatorServer(listenAddr string, peers map[uint32]string, reasm time.Duration) (*AggregatorServer, error) {
 	addr, err := net.ResolveUDPAddr("udp4", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("transport: aggregator resolve: %w", err)
@@ -48,6 +55,7 @@ func NewAggregatorServer(listenAddr string, peers map[uint32]string) (*Aggregato
 	a := &AggregatorServer{
 		conn:   conn,
 		peers:  make(map[raft.NodeID]*net.UDPAddr),
+		reasm:  reasm,
 		start:  time.Now(),
 		closed: make(chan struct{}),
 		done:   make(chan struct{}),
@@ -68,7 +76,7 @@ func NewAggregatorServer(listenAddr string, peers map[uint32]string) (*Aggregato
 	// reuse without per-type copies.
 	a.drv = runtime.New(a.agg, runtime.Options{
 		Now:          func() time.Duration { return time.Since(a.start) },
-		ReasmTimeout: 2 * time.Second,
+		ReasmTimeout: reasm,
 	})
 	go a.readLoop()
 	return a, nil
@@ -87,25 +95,32 @@ func (a *AggregatorServer) Close() error {
 	return nil
 }
 
+// readLoop ingests the aggregator's datagrams and, once per reassembly
+// timeout, drops reassemblies whose missing fragments never came. The
+// read deadline is the next sweep, so an idle aggregator sweeps too.
 func (a *AggregatorServer) readLoop() {
 	defer close(a.done)
 	r, err := newBatchReader(a.conn, defaultRecvBatch)
 	if err != nil {
 		return
 	}
+	next := time.Since(a.start) + a.reasm
+	_ = a.conn.SetReadDeadline(a.start.Add(next))
 	for {
-		n, err := r.read()
-		if err != nil {
+		if n, err := r.read(); err == nil {
+			a.drv.IngestBorrowedBatch(r.views[:n], r.keys[:n])
+		} else {
 			select {
 			case <-a.closed:
 				return
 			default:
-				continue
 			}
 		}
-		a.mu.Lock()
-		a.drv.IngestBorrowedBatch(r.views[:n], r.keys[:n])
-		a.mu.Unlock()
+		if now := time.Since(a.start); now >= next {
+			a.drv.Tick()
+			next = now + a.reasm
+			_ = a.conn.SetReadDeadline(a.start.Add(next))
+		}
 	}
 }
 

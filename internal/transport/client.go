@@ -159,7 +159,8 @@ func (c *Client) now() time.Duration { return time.Since(c.start) }
 // sweep expires attempts whose deadline has passed, every Timeout/16
 // (at least 1ms). One ticker per client replaces a timer per attempt:
 // with many callers blocked at once, per-attempt timers churn the
-// runtime's timer heap on every call.
+// runtime's timer heap on every call. The same sweep drops reassemblies
+// older than Timeout, whose missing fragments will never come.
 func (c *Client) sweep() {
 	defer c.wg.Done()
 	every := c.opts.Timeout / 16
@@ -176,6 +177,7 @@ func (c *Client) sweep() {
 		}
 		now := c.now()
 		c.mu.Lock()
+		c.drv.Tick()
 		for id, st := range c.waiting {
 			if now >= st.deadline {
 				delete(c.waiting, id)

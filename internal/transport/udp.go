@@ -51,12 +51,6 @@ type clientKey struct {
 	port uint16
 }
 
-// aLongTimeAgo is an expired deadline: arming it interrupts the loop
-// parked in its blocking batch read (the netpoller fails the read with
-// a timeout immediately), which is how a submitted command kicks the
-// loop awake.
-var aLongTimeAgo = time.Unix(1, 0)
-
 // ServerConfig configures one HovercRaft UDP node.
 type ServerConfig struct {
 	// ID is this node's Raft identity (1-based).
@@ -138,13 +132,16 @@ type ServerConfig struct {
 
 // Server is a running HovercRaft node on one UDP socket.
 //
-// Data-plane shape: one socket, read by one run-to-completion loop that
-// owns the engine, with no engine lock. Each pass drains a recvmmsg
-// batch, ingests it straight into the engine, ticks the protocol timer
-// when due, tells the engine the pass is over (core.Engine.EndBatch)
-// and flushes the egress the pass produced — all in one goroutine, so
-// no datagram ever crosses a mutex or a goroutine. A node scales out by
-// running more groups, each with its own socket and loop (Multi-Raft
+// Data-plane shape: one socket, read by one run-to-completion loop
+// (readLoop) that owns the engine, with no engine lock. Each pass
+// drains a recvmmsg batch, ingests it straight into the engine, ticks
+// the protocol timer when due, tells the engine the pass is over
+// (core.Engine.EndBatch) and flushes the egress the pass produced — all
+// in one goroutine, so no datagram ever crosses a mutex or a goroutine.
+// The loop parks in its read until the next tick at the latest, so a
+// command from another goroutine (Campaign) waits for the next tick,
+// which runs it; no other goroutine wakes the loop. A node scales out
+// by running more groups, each with its own socket and loop (Multi-Raft
 // shards), not by spreading one group's ingress across cores.
 //
 // Replication is event-driven: EndBatch is where the leader turns what
@@ -177,9 +174,9 @@ type Server struct {
 	service app.Service
 	gc      raft.GroupCommitter // non-nil when Storage group-commits
 
-	// Loop state: everything below is reachable only from the loop's
+	// Owner state: everything below is reachable only from readLoop's
 	// goroutine (engine steps, state-machine operations, ticks, commands
-	// all run there). No lock — the Loop is the owner.
+	// all run there). No lock — that goroutine is the owner.
 	drv      *runtime.Driver
 	peers    map[raft.NodeID]*net.UDPAddr
 	agg      *net.UDPAddr
@@ -194,7 +191,8 @@ type Server struct {
 	admGC    time.Duration // next slot-leak sweep (telemetry clock)
 
 	start time.Time
-	loop  *runtime.Loop
+	tick  tickClock   // the owner's timer cadence
+	cmds  chan func() // control-plane commands (Campaign), run at the next tick
 
 	pub pubState // owner-published control-plane snapshot
 
@@ -207,7 +205,7 @@ type Server struct {
 }
 
 // pubState is the owner loop's published snapshot of engine-adjacent
-// state, refreshed once per tick (and after Campaign), so the control
+// state, refreshed once per tick and after Campaign, so the control
 // plane reads atomics instead of stopping the data plane.
 type pubState struct {
 	state   atomic.Uint32 // raft.StateType
@@ -272,6 +270,7 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		clients: make(map[clientKey]*net.UDPAddr),
 		start:   time.Now(),
 		ctr:     stats.NewCounterSet(),
+		cmds:    make(chan func(), 8),
 		closed:  make(chan struct{}),
 	}
 	s.fromAddr.IP = s.fromIP[:]
@@ -376,15 +375,7 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 		Telemetry:     s.tel,
 	})
 
-	s.loop = runtime.NewLoop(runtime.LoopOptions{
-		Deliver:   s.deliver,
-		Tick:      s.ownerTick,
-		TickEvery: cfg.TickInterval,
-		Now:       func() time.Duration { return time.Since(s.start) },
-		Kick:      func() { _ = s.conn.SetReadDeadline(aLongTimeAgo) },
-		Flush:     s.flushOwned,
-		Closed:    s.closed,
-	})
+	s.tick = tickClock{every: cfg.TickInterval, next: time.Since(s.start) + cfg.TickInterval}
 	s.publish()
 
 	r, err := newBatchReader(conn, cfg.RecvBatch)
@@ -519,15 +510,19 @@ func (s *Server) RegisterMetrics(sc *obs.Scoped) {
 	s.tel.Register(sc)
 }
 
-// Campaign triggers an immediate election (cluster bootstrap helper).
-// It runs in the loop's context like every other engine step.
+// Campaign triggers an election (cluster bootstrap helper). The owner
+// runs it at its next tick, like every other engine step; it wakes at
+// least once per TickInterval, so the election starts within one tick.
+// Returns once the election has started or the server is closed.
 func (s *Server) Campaign() {
 	done := make(chan struct{})
-	if !s.loop.Submit(func() {
+	select {
+	case s.cmds <- func() {
 		s.engine.Campaign()
 		s.publish()
 		close(done)
-	}) {
+	}:
+	case <-s.closed:
 		return
 	}
 	select {
@@ -547,62 +542,69 @@ func (s *Server) Close() error {
 }
 
 // readLoop is the node's one data-plane goroutine, the owner of the
-// socket and the engine. It alternates between a deadline-bounded batch
-// read and Advance (commands, tick, egress flush), re-kicking its own
-// deadline when a Submit's wakeup raced the arm.
+// socket and the engine. Each pass reads one recvmmsg batch (or times
+// out), ingests it, ticks when due and flushes.
 //
 // The read deadline is the next tick's absolute due time, armed only
 // when it differs from the one already on the socket: once per tick
 // rather than once per pass, because re-arming the runtime's netpoll
-// timer on every pass is a large share of a saturated loop's CPU. A
-// kick (or any read error) may have replaced the deadline on the
-// socket, so after one the loop forgets what it armed.
+// timer on every pass is a large share of a saturated loop's CPU. No
+// other goroutine touches the deadline, so what was armed stays armed.
 func (s *Server) readLoop(r *batchReader) {
 	defer s.wg.Done()
-	lp, c := s.loop, s.conn
-	armed := time.Duration(-1) // loop-clock deadline on the socket; -1: unknown
+	armed := time.Duration(-1) // server-clock deadline on the socket
 	for {
-		// Park at most until the next tick. The pending re-check must
-		// come after the arm: a Submit that kicked between Advance and
-		// SetReadDeadline would otherwise have its expired deadline
-		// overwritten and wait out a full tick.
-		if at := lp.NextTick(); at != armed {
-			_ = c.SetReadDeadline(s.start.Add(at))
-			armed = at
+		if s.tick.next != armed {
+			armed = s.tick.next
+			_ = s.conn.SetReadDeadline(s.start.Add(armed))
 		}
-		if !lp.ShouldPark() {
-			_ = c.SetReadDeadline(aLongTimeAgo)
-			armed = -1
-		}
-		n, err := r.read()
-		if err != nil {
+		if n, err := r.read(); err == nil {
+			s.ctr.Get("ingress_datagrams").Add(uint64(n))
+			s.ctr.Get("ingress_syscalls").Inc()
+			if s.tel.Active() {
+				// Ingress queue delay: how long this batch waits between
+				// leaving the kernel and entering the engine. Run to
+				// completion makes this a clock-pair apart — the stage
+				// exists to prove exactly that.
+				t0 := s.tel.Now()
+				s.tel.RecordN(obs.QIngress, s.tel.Now()-t0, n)
+			}
+			for i := 0; i < n; i++ {
+				s.deliver(r.views[i], r.keys[i], uint16(r.addrs[i].Port))
+			}
+		} else {
 			select {
 			case <-s.closed:
 				return
 			default:
 			}
-			armed = -1
-			lp.Advance() // timeout or kick: tick and run commands
-			continue
 		}
-		s.ctr.Get("ingress_datagrams").Add(uint64(n))
-		s.ctr.Get("ingress_syscalls").Inc()
-		if s.tel.Active() {
-			// Ingress queue delay: how long this batch waits between
-			// leaving the kernel and entering the engine. Run to
-			// completion makes this a clock-pair apart — the stage exists
-			// to prove exactly that.
-			t0 := s.tel.Now()
-			s.tel.RecordN(obs.QIngress, s.tel.Now()-t0, n)
+		if s.tick.due(time.Since(s.start)) {
+			s.ownerTick()
 		}
-		for i := 0; i < n; i++ {
-			lp.Ingest(r.views[i], r.keys[i], uint16(r.addrs[i].Port))
-		}
-		lp.Advance()
+		s.flushOwned()
 	}
 }
 
-// deliver is the loop's ingest: rebuild the sender address from the
+// tickClock is the owner's timer cadence on the server clock. The due
+// time is absolute and moves only when a tick runs, so the armed read
+// deadline stays valid across passes; a due time already past means
+// the tick is overdue, and the read times out at once.
+type tickClock struct {
+	every, next time.Duration
+}
+
+// due reports whether a tick is due at now and, if so, schedules the
+// next one a period later.
+func (c *tickClock) due(now time.Duration) bool {
+	if now < c.next {
+		return false
+	}
+	c.next = now + c.every
+	return true
+}
+
+// deliver ingests one datagram: rebuild the sender address from the
 // (ip, port) identity and feed the driver the borrowed datagram.
 func (s *Server) deliver(dg []byte, src uint32, port uint16) {
 	binary.BigEndian.PutUint32(s.fromIP[:], src)
@@ -612,7 +614,8 @@ func (s *Server) deliver(dg []byte, src uint32, port uint16) {
 }
 
 // ownerTick is the owner loop's timer body: admission window update,
-// protocol tick, control-plane publish, WAL latency bound.
+// protocol tick, queued commands, control-plane publish, WAL latency
+// bound.
 func (s *Server) ownerTick() {
 	if s.admCtrl != nil {
 		// The controller reads the telemetry signal and resizes the
@@ -627,6 +630,9 @@ func (s *Server) ownerTick() {
 		}
 	}
 	s.drv.Tick()
+	for len(s.cmds) > 0 { // the owner is the only receiver: never blocks
+		(<-s.cmds)()
+	}
 	s.publish()
 	if s.gc != nil {
 		// Latency bound for staged WAL records that no egress barrier
