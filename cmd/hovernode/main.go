@@ -1,5 +1,9 @@
 // Command hovernode runs one HovercRaft replica serving the bundled
-// Redis-like key-value store over UDP.
+// Redis-like key-value store over UDP. It is flag parsing, the
+// aggregator daemon, a debug endpoint and a status log around
+// transport.StartNode, the same assembler hovercraft.StartSharded
+// uses: that binds the shards, opens and recovers their WALs, and
+// spreads the bootstrap elections.
 //
 // A local three-node cluster:
 //
@@ -13,8 +17,9 @@
 //	hovernode -id 1 -mode hovercraft++ -aggregator 127.0.0.1:7100 -peers ... -bootstrap
 //
 // Sharded deployments run -shards G independent Raft groups per node
-// (shard s at each peer's port+s); pass -bootstrap to every node so
-// initial leaderships spread round-robin:
+// (shard s at each peer's port+s, logging under -wal DIR/shard<s>); pass
+// -bootstrap to every node so initial leaderships spread round-robin
+// over the sorted ids:
 //
 //	hovernode -id 1 -shards 4 -peers ... -bootstrap &
 //	hovernode -id 2 -shards 4 -peers ... -bootstrap &
@@ -28,23 +33,20 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"syscall"
 	"time"
 
 	"hovercraft/internal/admission"
+	"hovercraft/internal/app"
 	"hovercraft/internal/core"
 	"hovercraft/internal/kvstore"
 	"hovercraft/internal/obs"
-	"hovercraft/internal/raft"
 	"hovercraft/internal/transport"
 )
 
@@ -67,46 +69,6 @@ func parsePeers(s string) (map[uint32]string, error) {
 	return peers, nil
 }
 
-// offsetPeers shifts every peer's port by delta: shard s of a sharded
-// deployment lives at port+s on each node.
-func offsetPeers(peers map[uint32]string, delta int) (map[uint32]string, error) {
-	if delta == 0 {
-		return peers, nil
-	}
-	out := make(map[uint32]string, len(peers))
-	for id, addr := range peers {
-		host, portStr, err := net.SplitHostPort(addr)
-		if err != nil {
-			return nil, fmt.Errorf("peer %d address %q: %v", id, addr, err)
-		}
-		port, err := strconv.Atoi(portStr)
-		if err != nil {
-			return nil, fmt.Errorf("peer %d address %q: %v", id, addr, err)
-		}
-		out[id] = net.JoinHostPort(host, strconv.Itoa(port+delta))
-	}
-	return out, nil
-}
-
-// bootstrapShards returns the shards this node should campaign for when
-// bootstrapping: round-robin over the sorted peer ids, so leaderships
-// (and write load) spread across the cluster instead of piling onto one
-// node. Pass -bootstrap to every node of a fresh sharded cluster.
-func bootstrapShards(peers map[uint32]string, id uint32, shards int) []int {
-	ids := make([]uint32, 0, len(peers))
-	for pid := range peers {
-		ids = append(ids, pid)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var mine []int
-	for s := 0; s < shards; s++ {
-		if ids[s%len(ids)] == id {
-			mine = append(mine, s)
-		}
-	}
-	return mine
-}
-
 func parseMode(s string) (core.Mode, error) {
 	switch strings.ToLower(s) {
 	case "vanilla":
@@ -126,7 +88,7 @@ func main() {
 		peersFlag = flag.String("peers", "", "cluster membership: 1=host:port,2=host:port,...")
 		modeFlag  = flag.String("mode", "hovercraft", "protocol: vanilla | hovercraft | hovercraft++")
 		agg       = flag.String("aggregator", "", "aggregator address (hovercraft++ mode)")
-		bootstrap = flag.Bool("bootstrap", false, "campaign for leadership immediately")
+		bootstrap = flag.Bool("bootstrap", false, "campaign for leadership immediately (with -shards > 1, for this node's round-robin share of the shards)")
 		bound     = flag.Int("bound", 128, "bounded-queue depth B for reply load balancing")
 		shards    = flag.Int("shards", 1, "independent Raft groups on this node; shard s listens on each peer's port+s")
 		tick      = flag.Duration("tick", time.Millisecond, "protocol tick interval")
@@ -135,7 +97,6 @@ func main() {
 		compact   = flag.Uint64("compact-every", 100000, "snapshot+truncate the log every N applied entries (0 = never)")
 
 		recvBatch  = flag.Int("recv-batch", 0, "datagrams drained per recvmmsg (0 = default 32)")
-		sendBatch  = flag.Int("send-batch", 0, "datagrams coalesced per sendmmsg (0 = default 32)")
 		sockBuf    = flag.Int("sockbuf", 0, "SO_RCVBUF/SO_SNDBUF of each shard's socket in bytes (0 = default 2 MiB)")
 		fsyncBatch = flag.Int("fsync-batch", 0, "WAL group commit: records staged per fsync (<=1 = sync every record)")
 		fsyncDelay = flag.Duration("fsync-delay", 0, "WAL group commit: max time a staged record may wait for its fsync")
@@ -183,91 +144,44 @@ func main() {
 	if *shards < 1 {
 		log.Fatalf("hovernode: -shards %d must be >= 1", *shards)
 	}
-	// One server (own store, own WAL subdirectory, own consensus group)
-	// per shard. Shard s binds each peer's port+s so groups demux by
-	// port and clients route keys with hovercraft.DialSharded.
-	servers := make([]*transport.Server, *shards)
-	for s := 0; s < *shards; s++ {
-		shardPeers, err := offsetPeers(peers, s)
-		if err != nil {
-			log.Fatalf("hovernode: %v", err)
-		}
-		aggAddr := *agg
-		if aggAddr != "" && s > 0 {
-			one := map[uint32]string{0: aggAddr}
-			shifted, err := offsetPeers(one, s)
-			if err != nil {
-				log.Fatalf("hovernode: %v", err)
-			}
-			aggAddr = shifted[0]
-		}
-		cfg := transport.ServerConfig{
-			ID:           uint32(*id),
-			Peers:        shardPeers,
-			Mode:         mode,
-			Aggregator:   aggAddr,
-			Bound:        *bound,
-			TickInterval: *tick,
-			CompactEvery: *compact,
-			RecvBatch:    *recvBatch,
-			SendBatch:    *sendBatch,
-			SockBufBytes: *sockBuf,
-
-			TelemetryEpoch:    *telEpoch,
-			AdaptiveAdmission: *admit,
-			AdmissionLimit:    *admitLimit,
-			Admission:         admission.Config{Target: *admitTarget},
-
+	// Each shard serves its own store, unwrapped, so the kvstore's
+	// core.Snapshotter (and with it -compact-every) stays visible.
+	node, err := transport.StartNode(transport.NodeConfig{
+		ServerConfig: transport.ServerConfig{
+			ID:                  uint32(*id),
+			Peers:               peers,
+			Mode:                mode,
+			Aggregator:          *agg,
+			Bound:               *bound,
+			TickInterval:        *tick,
+			CompactEvery:        *compact,
+			RecvBatch:           *recvBatch,
+			SockBufBytes:        *sockBuf,
+			TelemetryEpoch:      *telEpoch,
+			AdaptiveAdmission:   *admit,
+			AdmissionLimit:      *admitLimit,
+			Admission:           admission.Config{Target: *admitTarget},
 			ReadLease:           *readLease,
 			ReadStalenessBudget: *readBudget,
-		}
-		if *walDir != "" {
-			dir := *walDir
-			if *shards > 1 {
-				dir = filepath.Join(dir, fmt.Sprintf("shard%d", s))
-			}
-			fs, recovered, err := raft.OpenFileStorage(dir, *walSync)
-			if err != nil {
-				log.Fatalf("hovernode: shard %d: %v", s, err)
-			}
-			// Group commit trades one fsync per record for one per batch;
-			// the transport's egress barrier keeps acks behind the sync.
-			fs.GroupCommit(*fsyncBatch, *fsyncDelay)
-			defer fs.Close()
-			cfg.Storage = fs
-			cfg.Recovered = recovered
-			log.Printf("shard %d: recovered term=%d snap=%d entries=%d from %s",
-				s, recovered.Term, recovered.SnapIdx, len(recovered.Entries), dir)
-		}
-		srv, err := transport.NewServer(cfg, kvstore.New())
-		if err != nil {
-			log.Fatalf("hovernode: shard %d: %v", s, err)
-		}
-		servers[s] = srv
+		},
+		Shards:     *shards,
+		WALDir:     *walDir,
+		WALSync:    *walSync,
+		FsyncBatch: *fsyncBatch,
+		FsyncDelay: *fsyncDelay,
+	}, func(int) app.Service { return kvstore.New() })
+	if err != nil {
+		log.Fatalf("hovernode: %v", err)
 	}
-	if *shards == 1 {
-		log.Printf("node %d (%s) serving kvstore on %s", *id, mode, servers[0].Addr())
-	} else {
-		log.Printf("node %d (%s) serving kvstore across %d shards on %s..%s",
-			*id, mode, *shards, servers[0].Addr(), servers[*shards-1].Addr())
+	for s := 0; s < node.Shards(); s++ { // a recovered WAL shows in term and last
+		log.Printf("node %d (%s) serving kvstore shard %d on %s: %v", *id, mode, s, node.Shard(s).Addr(), node.Shard(s).Status())
 	}
 	if *debugAddr != "" {
-		expvar.Publish("hovernode", expvar.Func(func() interface{} {
-			vars := make(map[string]interface{}, len(servers))
-			for s, srv := range servers {
-				vars[fmt.Sprintf("shard%d", s)] = srv.DebugVars()
-			}
-			return vars
-		}))
-		// Prometheus exposition of the same state, from the unified obs
-		// registry: per-shard role gauges, data-plane counters, and the
-		// always-on per-stage queue-delay windows.
+		expvar.Publish("hovernode", expvar.Func(func() interface{} { return node.DebugVars() }))
+		// Prometheus exposition of the same state: per-shard role gauges,
+		// data-plane counters and the per-stage queue-delay windows.
 		reg := obs.NewRegistry()
-		reg.Gauge("node_id", func() float64 { return float64(*id) })
-		reg.Gauge("shards", func() float64 { return float64(len(servers)) })
-		for s, srv := range servers {
-			srv.RegisterMetrics(reg.Sub(fmt.Sprintf("shard%d", s)))
-		}
+		node.RegisterMetrics(reg)
 		http.Handle("/metrics", obs.PromHandler(reg))
 		go func() {
 			// DefaultServeMux carries expvar's /debug/vars and pprof's
@@ -279,16 +193,7 @@ func main() {
 		}()
 	}
 	if *bootstrap {
-		if *shards == 1 {
-			servers[0].Campaign()
-		} else {
-			// Spread initial leaderships round-robin so no node carries
-			// every shard's write load; -bootstrap goes to every node.
-			for _, s := range bootstrapShards(peers, uint32(*id), *shards) {
-				log.Printf("campaigning for shard %d", s)
-				servers[s].Campaign()
-			}
-		}
+		node.Bootstrap()
 	}
 
 	status := time.NewTicker(5 * time.Second)
@@ -297,17 +202,11 @@ func main() {
 		select {
 		case <-sig:
 			log.Printf("shutting down")
-			for _, srv := range servers {
-				srv.Close()
-			}
+			node.Close()
 			return
 		case <-status.C:
-			for s, srv := range servers {
-				if *shards == 1 {
-					log.Printf("status: %v", srv.Status())
-				} else {
-					log.Printf("status shard %d: %v", s, srv.Status())
-				}
+			for s := 0; s < node.Shards(); s++ {
+				log.Printf("status shard %d: %v", s, node.Shard(s).Status())
 			}
 		}
 	}

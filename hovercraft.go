@@ -32,8 +32,6 @@ package hovercraft
 import (
 	"errors"
 	"fmt"
-	"net"
-	"strconv"
 	"time"
 
 	"hovercraft/internal/app"
@@ -122,14 +120,19 @@ type Config struct {
 	// arriving within it (0 = fetch as fast as batching allows). Bounds
 	// added queueing only — reads stay strictly linearizable.
 	ReadStalenessBudget time.Duration
+
+	// Dir is where the replica keeps its write-ahead log, so that it
+	// recovers every acknowledged write when it restarts, even when the
+	// whole cluster went down. Records are fsynced in group-commit
+	// batches before any reply that depends on them leaves the node.
+	// With Shards > 1, shard s logs in Dir/shard<s>. Empty keeps the
+	// replica volatile.
+	Dir string
 }
 
 // Node is a running replica: one server per shard group (a single
 // server unless Config.Shards > 1).
-type Node struct {
-	srv    *transport.Server   // shard 0 (the only shard when unsharded)
-	shards []*transport.Server // all shards, indexed by group
-}
+type Node struct{ n *transport.Node }
 
 type smService struct{ sm StateMachine }
 
@@ -165,7 +168,8 @@ func Start(cfg Config, sm StateMachine) (*Node, error) {
 // groups (default 1), each serving its own state machine from the
 // factory. Shard s binds every peer's address at port+s, so groups demux
 // by port; keys are assigned to groups by the consistent-hash map that
-// DialSharded clients share.
+// DialSharded clients share. cmd/hovernode starts its nodes through the
+// same assembler.
 func StartSharded(cfg Config, f ShardFactory) (*Node, error) {
 	mode := core.ModeHovercraft
 	switch cfg.Protocol {
@@ -174,32 +178,12 @@ func StartSharded(cfg Config, f ShardFactory) (*Node, error) {
 	case HovercRaftPP:
 		mode = core.ModeHovercraftPP
 	}
-	shards := cfg.Shards
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > shard.MaxGroups {
-		return nil, fmt.Errorf("hovercraft: Shards %d exceeds %d", shards, shard.MaxGroups)
-	}
-	n := &Node{}
-	for s := 0; s < shards; s++ {
-		peers, err := shardPeers(cfg.Peers, s)
-		if err != nil {
-			n.Close()
-			return nil, err
-		}
-		agg := cfg.Aggregator
-		if agg != "" && s > 0 {
-			if agg, err = offsetPort(agg, s); err != nil {
-				n.Close()
-				return nil, err
-			}
-		}
-		srv, err := transport.NewServer(transport.ServerConfig{
+	n, err := transport.StartNode(transport.NodeConfig{
+		ServerConfig: transport.ServerConfig{
 			ID:             cfg.ID,
-			Peers:          peers,
+			Peers:          cfg.Peers,
 			Mode:           mode,
-			Aggregator:     agg,
+			Aggregator:     cfg.Aggregator,
 			TickInterval:   cfg.TickInterval,
 			ElectionTicks:  cfg.ElectionTicks,
 			HeartbeatTicks: cfg.HeartbeatTicks,
@@ -208,54 +192,27 @@ func StartSharded(cfg Config, f ShardFactory) (*Node, error) {
 
 			ReadLease:           cfg.ReadLease,
 			ReadStalenessBudget: cfg.ReadStalenessBudget,
-		}, smService{sm: f.NewShard(s)})
-		if err != nil {
-			n.Close()
-			return nil, fmt.Errorf("hovercraft: shard %d: %w", s, err)
-		}
-		n.shards = append(n.shards, srv)
-	}
-	n.srv = n.shards[0]
-	return n, nil
-}
-
-// shardPeers offsets every peer port by the shard index.
-func shardPeers(peers map[uint32]string, s int) (map[uint32]string, error) {
-	if s == 0 {
-		return peers, nil
-	}
-	out := make(map[uint32]string, len(peers))
-	for id, addr := range peers {
-		a, err := offsetPort(addr, s)
-		if err != nil {
-			return nil, err
-		}
-		out[id] = a
-	}
-	return out, nil
-}
-
-func offsetPort(addr string, delta int) (string, error) {
-	host, port, err := net.SplitHostPort(addr)
+		},
+		Shards:     cfg.Shards,
+		WALDir:     cfg.Dir,
+		WALSync:    true,
+		FsyncBatch: 256,
+	}, func(s int) app.Service { return smService{sm: f.NewShard(s)} })
 	if err != nil {
-		return "", fmt.Errorf("hovercraft: address %q: %w", addr, err)
+		return nil, fmt.Errorf("hovercraft: %w", err)
 	}
-	p, err := strconv.Atoi(port)
-	if err != nil {
-		return "", fmt.Errorf("hovercraft: address %q: %w", addr, err)
-	}
-	return net.JoinHostPort(host, strconv.Itoa(p+delta)), nil
+	return &Node{n: n}, nil
 }
 
 // Shards returns the number of shard groups this node serves.
-func (n *Node) Shards() int { return len(n.shards) }
+func (n *Node) Shards() int { return n.n.Shards() }
 
 // IsLeader reports whether this replica currently leads the cluster
 // (shard 0 in sharded deployments).
-func (n *Node) IsLeader() bool { return n.srv.IsLeader() }
+func (n *Node) IsLeader() bool { return n.IsShardLeader(0) }
 
 // IsShardLeader reports whether this replica leads shard s.
-func (n *Node) IsShardLeader(s int) bool { return n.shards[s].IsLeader() }
+func (n *Node) IsShardLeader(s int) bool { return n.n.Shard(s).IsLeader() }
 
 // Status describes the replica's consensus state.
 type Status struct {
@@ -271,7 +228,7 @@ func (n *Node) Status() Status { return n.ShardStatus(0) }
 
 // ShardStatus returns a snapshot of shard s's consensus state.
 func (n *Node) ShardStatus(s int) Status {
-	st := n.shards[s].Status()
+	st := n.n.Shard(s).Status()
 	return Status{
 		Leader:  uint32(st.Lead),
 		Term:    st.Term,
@@ -284,26 +241,15 @@ func (n *Node) ShardStatus(s int) Status {
 // sharded deployments). Useful to bootstrap a fresh cluster
 // deterministically; otherwise the randomized election timeout elects
 // someone within a few election periods.
-func (n *Node) Campaign() { n.srv.Campaign() }
+func (n *Node) Campaign() { n.CampaignShard(0) }
 
 // CampaignShard asks this replica to run for leader of shard s. Sharded
 // bootstraps should spread campaigns across nodes (node ids[s%N]
 // campaigning shard s) so leaderships — and write load — land evenly.
-func (n *Node) CampaignShard(s int) { n.shards[s].Campaign() }
+func (n *Node) CampaignShard(s int) { n.n.Shard(s).Campaign() }
 
-// Close shuts the replica down.
-func (n *Node) Close() error {
-	var first error
-	for _, srv := range n.shards {
-		if srv == nil {
-			continue
-		}
-		if err := srv.Close(); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
-}
+// Close shuts the replica down, then closes its write-ahead log.
+func (n *Node) Close() error { return n.n.Close() }
 
 // Client issues requests against a HovercRaft cluster.
 type Client = transport.Client
@@ -335,10 +281,10 @@ func DialSharded(peers []string, shards int, opts ...ClientOptions) (*ShardedCli
 	for s := 0; s < shards; s++ {
 		addrs := make([]string, len(peers))
 		for i, p := range peers {
-			a, err := offsetPort(p, s)
+			a, err := transport.ShardAddr(p, s)
 			if err != nil {
 				sc.Close()
-				return nil, err
+				return nil, fmt.Errorf("hovercraft: %w", err)
 			}
 			addrs[i] = a
 		}

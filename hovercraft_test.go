@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -316,5 +317,118 @@ func TestPublicAPIConcurrentClients(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// kvMachine is a deterministic map for restart tests: "k=v" sets k and
+// replies v, "k" replies k's value.
+type kvMachine struct{ m map[string]string }
+
+func (k *kvMachine) Apply(cmd []byte, readOnly bool) []byte {
+	key, val, set := strings.Cut(string(cmd), "=")
+	if set && !readOnly {
+		k.m[key] = val
+	}
+	return []byte(k.m[key])
+}
+
+// TestPublicAPIDurableRestart takes a whole Config.Dir cluster down and
+// restarts it through hovercraft.Start on the same directories: every
+// acknowledged write must be read back from the recovered logs.
+func TestPublicAPIDurableRestart(t *testing.T) { testDurableRestart(t, 1) }
+
+// TestPublicAPIDurableRestartSharded does the same through StartSharded
+// with two groups, each logging under its own shard directory.
+func TestPublicAPIDurableRestartSharded(t *testing.T) { testDurableRestart(t, 2) }
+
+func testDurableRestart(t *testing.T, shards int) {
+	peers := make(map[uint32]string, 3)
+	dirs := make(map[uint32]string, 3)
+	var addrs []string
+	for id := uint32(1); id <= 3; id++ {
+		peers[id] = freeUDPRange(t, shards)
+		dirs[id] = t.TempDir()
+		addrs = append(addrs, peers[id])
+	}
+	start := func() []*hovercraft.Node {
+		var nodes []*hovercraft.Node
+		for id := uint32(1); id <= 3; id++ {
+			cfg := hovercraft.Config{
+				ID: id, Peers: peers, Dir: dirs[id],
+				TickInterval:   2 * time.Millisecond,
+				ElectionTicks:  20,
+				HeartbeatTicks: 4,
+			}
+			var node *hovercraft.Node
+			var err error
+			if shards == 1 {
+				node, err = hovercraft.Start(cfg, &kvMachine{m: map[string]string{}})
+			} else {
+				cfg.Shards = shards
+				node, err = hovercraft.StartSharded(cfg, hovercraft.FactoryFunc(func(int) hovercraft.StateMachine {
+					return &kvMachine{m: map[string]string{}}
+				}))
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, node)
+		}
+		for s := 0; s < shards; s++ {
+			nodes[s%len(nodes)].CampaignShard(s)
+		}
+		return nodes
+	}
+	closeAll := func(nodes []*hovercraft.Node) {
+		for _, nd := range nodes {
+			if err := nd.Close(); err != nil {
+				t.Errorf("close: %v", err)
+			}
+		}
+	}
+	dial := func() *hovercraft.ShardedClient {
+		cl, err := hovercraft.DialSharded(addrs, shards, hovercraft.ClientOptions{Timeout: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cl
+	}
+	call := func(cl *hovercraft.ShardedClient, cmd string, readOnly bool) ([]byte, error) {
+		key, _, _ := strings.Cut(cmd, "=")
+		return cl.CallKey([]byte(key), []byte(cmd), readOnly)
+	}
+
+	nodes := start()
+	cl := dial()
+	acked := map[string]string{}
+	deadline := time.Now().Add(10 * time.Second)
+	for i := 0; len(acked) < 20 && time.Now().Before(deadline); i++ {
+		key, val := fmt.Sprintf("key-%d", i), fmt.Sprintf("v%d", i*i)
+		if got, err := call(cl, key+"="+val, false); err == nil && string(got) == val {
+			acked[key] = val
+		}
+	}
+	cl.Close()
+	closeAll(nodes)
+	if len(acked) < 15 {
+		t.Fatalf("only %d writes acknowledged before the restart", len(acked))
+	}
+
+	nodes = start()
+	defer closeAll(nodes)
+	cl = dial()
+	defer cl.Close()
+	for key, want := range acked {
+		var got []byte
+		var err error
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+			if got, err = call(cl, key, true); err == nil && string(got) == want {
+				break
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+		if err != nil || string(got) != want {
+			t.Fatalf("after restart %s = %q, %v; want %q", key, got, err, want)
+		}
 	}
 }

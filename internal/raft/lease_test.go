@@ -111,8 +111,8 @@ func TestLeaseExpiresUnderPartition(t *testing.T) {
 // tick in lockstep here, modelling zero drift; the lease's drift margin
 // covers the real-world skew on top.
 func TestLeaseExpiresBeforeRivalElected(t *testing.T) {
-	for seed := 0; seed < 20; seed++ {
-		c := newCluster(t, 3)
+	for seed := int64(1); seed <= 200; seed++ {
+		c := newSeededCluster(t, 3, seed)
 		lead := settleUntilLease(t, c)
 
 		for id := range c.nodes {

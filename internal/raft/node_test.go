@@ -20,7 +20,11 @@ type cluster struct {
 	leaderTerms map[uint64]NodeID
 }
 
-func newCluster(t *testing.T, n int) *cluster {
+func newCluster(t *testing.T, n int) *cluster { return newSeededCluster(t, n, 0) }
+
+// newSeededCluster builds an n-node cluster whose election jitter is
+// seeded from seed and each node's id (seed 0 is newCluster's).
+func newSeededCluster(t *testing.T, n int, seed int64) *cluster {
 	c := &cluster{
 		t:           t,
 		nodes:       make(map[NodeID]*Node),
@@ -36,7 +40,7 @@ func newCluster(t *testing.T, n int) *cluster {
 		c.nodes[id] = NewNode(Config{
 			ID: id, Peers: peers,
 			ElectionTicks: 10, HeartbeatTicks: 2,
-			Rand: rand.New(rand.NewSource(int64(id) * 7)),
+			Rand: rand.New(rand.NewSource(seed*1000 + int64(id)*7)),
 		})
 	}
 	return c

@@ -82,41 +82,3 @@ func TestUDPTelemetryMetrics(t *testing.T) {
 		}
 	}
 }
-
-// TestUDPTelemetryDisable checks the gate: DisableTelemetry yields a nil
-// instrument and the server still serves traffic.
-func TestUDPTelemetryDisable(t *testing.T) {
-	ports := freePorts(t, 1)
-	peers := map[uint32]string{1: ports[0]}
-	s, err := NewServer(ServerConfig{
-		ID: 1, Peers: peers, Mode: core.ModeVanilla,
-		DisableTelemetry: true,
-	}, &counterService{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if s.Telemetry() != nil {
-		t.Fatal("DisableTelemetry left an instrument attached")
-	}
-	s.Campaign()
-	waitForLeader(t, []*Server{s})
-	cl := dialCluster(t, peers)
-	defer cl.Close()
-	if _, err := cl.Call([]byte("incr"), false); err != nil {
-		t.Fatal(err)
-	}
-	// RegisterMetrics still works — only the qdelay windows are absent.
-	reg := obs.NewRegistry()
-	s.RegisterMetrics(reg.Sub("shard0"))
-	var buf bytes.Buffer
-	if err := obs.WritePrometheus(&buf, reg); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "hovercraft_qdelay") {
-		t.Fatal("disabled telemetry still exported qdelay series")
-	}
-	if !strings.Contains(buf.String(), "hovercraft_raft_is_leader") {
-		t.Fatal("gauges missing with telemetry disabled")
-	}
-}

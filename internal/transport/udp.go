@@ -87,18 +87,13 @@ type ServerConfig struct {
 	// sets it to 1; it goes when that caller does. A node reads one
 	// socket, so 0 and 1 are accepted and anything larger is rejected.
 	Sockets int
-	// RecvBatch / SendBatch cap datagrams per recvmmsg/sendmmsg
-	// syscall (0 = 32). Ignored where batch I/O is unsupported.
+	// RecvBatch caps datagrams per recvmmsg syscall (0 = 32). Ignored
+	// where batch I/O is unsupported.
 	RecvBatch int
-	SendBatch int
 	// SockBufBytes sets SO_RCVBUF/SO_SNDBUF on the socket (0 = 2MB).
 	// Kernel-default buffers (~212KB) silently drop bursts; the drop
 	// counter is surfaced as udp_rx_dropped in DebugVars.
 	SockBufBytes int
-	// DisableTelemetry turns off the always-on queue-delay telemetry
-	// (per-stage windowed histograms). On by default: the instruments
-	// are lock-free and allocation-free, costing only clock reads.
-	DisableTelemetry bool
 	// TelemetryEpoch sets the sliding window's epoch length (0 = the obs
 	// default of 1s; the ring keeps its default 10 epochs).
 	TelemetryEpoch time.Duration
@@ -107,8 +102,7 @@ type ServerConfig struct {
 	// request window (consuming the FEEDBACK messages that previously
 	// dropped), sheds new requests above the AIMD window driven by its
 	// own queue-delay telemetry, and hands shed clients a retry-after
-	// hint. Needs telemetry; with DisableTelemetry the window stays
-	// fixed at AdmissionLimit.
+	// hint.
 	AdaptiveAdmission bool
 	// Admission tunes the AIMD controller (zero values take the
 	// admission package defaults, Max/Initial default to
@@ -197,7 +191,7 @@ type Server struct {
 	pub pubState // owner-published control-plane snapshot
 
 	ctr *stats.CounterSet
-	tel *obs.Telemetry // nil when cfg.DisableTelemetry
+	tel *obs.Telemetry // always-on queue-delay telemetry
 
 	closed  chan struct{}
 	closeMu sync.Once
@@ -275,11 +269,11 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 	}
 	s.fromAddr.IP = s.fromIP[:]
 	s.gc, _ = cfg.Storage.(raft.GroupCommitter)
-	if !cfg.DisableTelemetry {
-		s.tel = obs.NewTelemetry(
-			func() time.Duration { return time.Since(s.start) },
-			cfg.TelemetryEpoch, 0)
-	}
+	// The per-stage queue-delay windows are lock-free and
+	// allocation-free, costing only clock reads, so they are always on.
+	s.tel = obs.NewTelemetry(
+		func() time.Duration { return time.Since(s.start) },
+		cfg.TelemetryEpoch, 0)
 	if cfg.AdaptiveAdmission {
 		limit := cfg.AdmissionLimit
 		if limit <= 0 {
@@ -300,15 +294,13 @@ func NewServer(cfg ServerConfig, svc app.Service) (*Server, error) {
 			return []*obs.Telemetry{s.tel}
 		}))
 		s.admit.NackHint = s.admCtrl.Hint()
-		if s.tel != nil {
-			target := acfg.Target
-			if target <= 0 {
-				target = 500 * time.Microsecond
-			}
-			s.tel.SetSLO(target, 0.99)
+		target := acfg.Target
+		if target <= 0 {
+			target = 500 * time.Microsecond
 		}
+		s.tel.SetSLO(target, 0.99)
 	}
-	s.snd = newSender(s.conn, rawConn, cfg.SendBatch)
+	s.snd = newSender(s.conn, rawConn, defaultSendBatch)
 	ids := make([]raft.NodeID, 0, len(cfg.Peers))
 	for id, pa := range cfg.Peers {
 		ua, err := net.ResolveUDPAddr("udp4", pa)
@@ -459,8 +451,7 @@ func (s *Server) NetStats() map[string]uint64 {
 	return out
 }
 
-// Telemetry exposes the node's queue-delay instrument (nil when
-// disabled).
+// Telemetry exposes the node's queue-delay instrument.
 func (s *Server) Telemetry() *obs.Telemetry { return s.tel }
 
 // RegisterMetrics publishes the node's live metrics into a scoped
@@ -561,14 +552,12 @@ func (s *Server) readLoop(r *batchReader) {
 		if n, err := r.read(); err == nil {
 			s.ctr.Get("ingress_datagrams").Add(uint64(n))
 			s.ctr.Get("ingress_syscalls").Inc()
-			if s.tel.Active() {
-				// Ingress queue delay: how long this batch waits between
-				// leaving the kernel and entering the engine. Run to
-				// completion makes this a clock-pair apart — the stage
-				// exists to prove exactly that.
-				t0 := s.tel.Now()
-				s.tel.RecordN(obs.QIngress, s.tel.Now()-t0, n)
-			}
+			// Ingress queue delay: how long this batch waits between
+			// leaving the kernel and entering the engine. Run to
+			// completion makes this a clock-pair apart — the stage
+			// exists to prove exactly that.
+			t0 := s.tel.Now()
+			s.tel.RecordN(obs.QIngress, s.tel.Now()-t0, n)
 			for i := 0; i < n; i++ {
 				s.deliver(r.views[i], r.keys[i], uint16(r.addrs[i].Port))
 			}
@@ -675,27 +664,18 @@ func (s *Server) flushOwned() {
 		return
 	}
 	if s.gc != nil {
-		if s.tel.Active() {
-			t0 := s.tel.Now()
-			s.gc.Flush()
-			// The group-commit barrier: WAL write+fsync latency covered
-			// by this egress batch.
-			s.tel.Record(obs.QWalSync, s.tel.Now()-t0)
-		} else {
-			s.gc.Flush()
-		}
+		t0 := s.tel.Now()
+		s.gc.Flush()
+		// The group-commit barrier: WAL write+fsync latency covered by
+		// this egress batch.
+		s.tel.Record(obs.QWalSync, s.tel.Now()-t0)
 	}
-	var eg0 time.Duration
-	if s.tel.Active() {
-		eg0 = s.tel.Now()
-	}
+	eg0 := s.tel.Now()
 	for _, it := range items {
 		s.snd.queue(it.addr, it.buf.B)
 	}
 	s.snd.flush()
-	if s.tel.Active() {
-		s.tel.RecordN(obs.QEgress, s.tel.Now()-eg0, len(items))
-	}
+	s.tel.RecordN(obs.QEgress, s.tel.Now()-eg0, len(items))
 	s.ctr.Get("egress_datagrams").Add(uint64(len(items)))
 	s.ctr.Get("egress_syscalls").Add(s.snd.syscalls)
 	s.snd.syscalls, s.snd.datagrams = 0, 0
@@ -816,7 +796,7 @@ func (t *serverTransport) SendFeedback(dgs []*wire.Buf) {
 type serverRunner Server
 
 func (r *serverRunner) Run(payload []byte, readOnly bool, done func([]byte)) {
-	t0 := r.tel.Now() // nil telemetry: no clock read, Record is a no-op
+	t0 := r.tel.Now()
 	reply := r.service.Execute(payload, readOnly)
 	r.tel.Record(obs.QService, r.tel.Now()-t0)
 	done(reply)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -30,6 +31,11 @@ func (c *counterService) Execute(payload []byte, readOnly bool) []byte {
 var _ app.Service = (*counterService)(nil)
 
 // freePorts grabs n distinct loopback UDP ports.
+// newEphemeral binds an ephemeral loopback UDP socket.
+func newEphemeral() (*net.UDPConn, error) {
+	return net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+}
+
 func freePorts(t testing.TB, n int) []string {
 	t.Helper()
 	addrs := make([]string, n)
