@@ -49,7 +49,7 @@ type OverloadResult struct {
 	Burn      float64
 	Res       loadgen.Result
 	Cluster   *simcluster.Cluster
-	Swarm     *loadgen.Swarm
+	Client    *loadgen.Client
 	Admission admission.Summary // zero unless adaptive
 }
 
@@ -73,7 +73,7 @@ func RunOverloadPoint(r OverloadRun, rc RunConfig) OverloadResult {
 		Preload:    r.WL.Preload(),
 		Obs:        rc.Obs,
 	})
-	sw := loadgen.NewSwarm(cl.Net, "swarm", simnet.DefaultHostConfig(), loadgen.SwarmConfig{
+	sw := loadgen.NewClient(cl.Net, "swarm", simnet.DefaultHostConfig(), loadgen.ClientConfig{
 		Clients: OverloadClients,
 		Rate:    r.Rate, RateFn: r.RateFn,
 		Warmup: rc.Warmup, Duration: rc.Duration,
@@ -111,7 +111,7 @@ func RunOverloadPoint(r OverloadRun, rc RunConfig) OverloadResult {
 		Burn:    sw.Latency.FractionAbove(int64(SLO)) / 0.01,
 		Res:     res,
 		Cluster: cl,
-		Swarm:   sw,
+		Client:  sw,
 	}
 	if adm != nil {
 		// Window/hint/signal from the load-end capture; the lifetime
@@ -299,7 +299,7 @@ func overloadHotShard(sc Scale) *stats.Table {
 		AdaptiveAdmission: true,
 	})
 	router := shard.NewRouter(cl.Map, nil)
-	sw := loadgen.NewSwarm(cl.Net, "swarm", simnet.DefaultHostConfig(), loadgen.SwarmConfig{
+	sw := loadgen.NewClient(cl.Net, "swarm", simnet.DefaultHostConfig(), loadgen.ClientConfig{
 		Clients: OverloadClients,
 		// 2× one group's capacity, nearly all of it routed to the Zipf
 		// head's group.

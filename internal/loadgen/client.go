@@ -1,6 +1,8 @@
 package loadgen
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -11,18 +13,34 @@ import (
 	"hovercraft/internal/stats"
 )
 
-// ClientConfig parameterizes one simulated load-generating host.
+// swarmPortsPerHost caps endpoints per simulated host: each endpoint is
+// one R2P2 (ip, port) identity, so a host carries a slab of the 16-bit
+// port space and a larger client population spreads across hosts.
+const swarmPortsPerHost = 16384
+
+// ClientConfig parameterizes one simulated load generator.
 type ClientConfig struct {
-	// Rate is the offered load in requests/second (open loop: arrivals
-	// are Poisson and do not wait for responses).
+	// Clients is the number of simulated endpoints (default 1), spread
+	// over hosts of swarmPortsPerHost ports each. Each gets its own R2P2
+	// identity, so the flow-control middlebox and the servers' dedup
+	// caches see a realistic client population. One aggregate arrival
+	// process drives them all: superposing per-client Poisson processes
+	// is exact, so 10⁵ clients cost what their in-flight requests cost.
+	Clients int
+	// Rate is the aggregate offered load in requests/second (open loop:
+	// arrivals are Poisson and do not wait for responses).
 	Rate float64
+	// RateFn, when non-nil, makes the offered load time-varying: sampled
+	// at every arrival, a positive value overrides Rate (diurnal ramps,
+	// flash crowds, retry storms).
+	RateFn func(now time.Duration) float64
 	// Warmup is excluded from measurement; Duration is the measurement
 	// window. The client stops offering load at Warmup+Duration.
 	Warmup   time.Duration
 	Duration time.Duration
-	// Timeout expires an unanswered request attempt. With Retries == 0
-	// an expired request is counted lost; with Retries > 0 it is
-	// retransmitted first (see below).
+	// Timeout expires an unanswered request attempt (default 10ms). With
+	// Retries == 0 an expired request is counted lost; with Retries > 0
+	// it is retransmitted first (see below).
 	Timeout time.Duration
 	// Retries is the per-request retransmission budget. A retransmission
 	// reuses the original R2P2 request ID — the server-side dedup cache
@@ -36,7 +54,7 @@ type ClientConfig struct {
 	Workload Workload
 	// Target is where requests are sent (middlebox, leader, or server).
 	Target simnet.Addr
-	// Port must be unique per client endpoint (R2P2 identity space).
+	// Port is the first endpoint port on each host (default 1000).
 	Port uint16
 	// SampleEvery, if nonzero, records a throughput/latency time series
 	// (for the failure experiment, Fig. 12).
@@ -68,10 +86,10 @@ type ClientConfig struct {
 type pendingReq struct {
 	// id is the full request identity. Responses carry the replier's
 	// address in their ID, so the original must be kept for obs lookups.
-	id      r2p2.RequestID
-	sentAt  time.Duration
-	inMeas  bool
-	payload int
+	id r2p2.RequestID
+	// sentAt is the latest transmission time (see Client on latency).
+	sentAt time.Duration
+	inMeas bool
 
 	// Sharded-mode state: the routed group (-1 when unsharded), the
 	// routing key and raw request, kept so a stale-map redirect can
@@ -83,7 +101,9 @@ type pendingReq struct {
 	redirected bool
 
 	// attempt counts transmissions so far (1 after the first send);
-	// retransmissions reuse id and back off exponentially.
+	// retransmissions reuse id and back off exponentially. Deadlines
+	// carry the attempt they were armed for and fire as no-ops once the
+	// request completed or moved on to a later attempt.
 	attempt int
 
 	// readTgt indexes ReadTargets (mod len) for lin-reads; each
@@ -91,19 +111,48 @@ type pendingReq struct {
 	readTgt int
 }
 
-// Client is an open-loop Poisson load generator attached to a simulated
-// host, measuring per-request latency from send to response arrival
-// (hardware-timestamp-style: at the NIC handler, before any client-side
-// queueing).
-type Client struct {
-	cfg  ClientConfig
-	host *simnet.Host
-	sim  *simnet.Sim
-	rng  *rand.Rand
-
-	r2      *r2p2.Client
+// clientHost is one simulated host carrying a slab of endpoints: its own
+// reassembler, pending table and duplicate-response window. Request IDs
+// come from a host-wide counter, so they are unique within the host
+// across all its endpoint ports and key the pending table alone.
+type clientHost struct {
+	host    *simnet.Host
 	reasm   *r2p2.Reassembler
-	pending *r2p2.Pending[pendingReq]
+	nextReq uint32
+	pending map[uint32]pendingReq
+	// done remembers recently completed/nacked request IDs so a second
+	// copy of a response (reply-from-cache plus the original, or network
+	// duplication) is counted as a suppressed duplicate rather than
+	// silently ignored as unknown.
+	done *ringSet
+}
+
+// Client is the open-loop Poisson load generator (Lancet-style) every
+// simulated experiment drives: one aggregate arrival loop fanned out over
+// cfg.Clients endpoints, with all measurement state shared.
+//
+// Each transmission arms its own deadline, so an attempt expires exactly
+// Timeout (or its backoff delay, with retries) after it was sent.
+// Latency is measured from a request's latest transmission to the
+// response's arrival at the NIC handler (hardware-timestamp-style,
+// before any client-side queueing): it is the response time of the
+// attempt that was admitted and answered. Time spent backing off after a
+// NACK or an expiry is reported through NackRate, LossRate and Retries,
+// not folded into the admitted tail.
+type Client struct {
+	cfg   ClientConfig
+	sim   *simnet.Sim
+	rng   *rand.Rand
+	hosts []*clientHost
+	// arrive and fire are c.arrival and c.fireExpiries bound once, so
+	// the per-request timers allocate no closure.
+	arrive, fire func()
+	// expiries holds every armed attempt deadline. One simulator timer
+	// at the earliest deadline (armedAt) stands in for them all, which
+	// keeps the simulator's event heap the size of the packet pipeline.
+	expiries  expiryHeap
+	expirySeq uint64
+	armedAt   time.Duration
 
 	// Measurement.
 	Latency *stats.Histogram
@@ -125,14 +174,8 @@ type Client struct {
 
 	// Retry accounting (whole run — retries cluster around failures,
 	// which rarely align with the measurement window).
-	Retries        uint64 // retransmissions sent
+	Retries        uint64 // retransmissions sent or scheduled
 	DupsSuppressed uint64 // duplicate responses dropped client-side
-
-	// done remembers recently completed/nacked request IDs so a second
-	// copy of a response (reply-from-cache plus the original, or network
-	// duplication) is counted as a suppressed duplicate rather than
-	// silently ignored as unknown.
-	done *ringSet
 
 	shards []*ShardStat // per-group breakdown (sharded mode only)
 
@@ -148,81 +191,111 @@ type Client struct {
 	stopped           bool
 }
 
-// NewClient attaches a client to the network on its own host.
+// NewClient attaches a generator of cfg.Clients endpoints to the
+// network: one host named name, or ceil(Clients/16384) hosts named
+// <name>-<i> for a larger population.
 func NewClient(net *simnet.Network, name string, hostCfg simnet.HostConfig, cfg ClientConfig) *Client {
+	cfg.Clients = max(cfg.Clients, 1)
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = 10 * time.Millisecond
+	}
+	if cfg.RetryBackoff <= 0 {
+		cfg.RetryBackoff = cfg.Timeout
+	}
+	if cfg.Port == 0 {
+		cfg.Port = 1000
+	}
 	c := &Client{
 		cfg:          cfg,
 		sim:          net.Sim(),
 		rng:          net.Sim().Rand(),
-		reasm:        r2p2.NewReassembler(cfg.Timeout),
-		pending:      r2p2.NewPending[pendingReq](),
 		Latency:      stats.NewHistogram(),
 		ReadLatency:  stats.NewHistogram(),
 		WriteLatency: stats.NewHistogram(),
 		intervalHist: stats.NewHistogram(),
-		done:         newRingSet(1 << 16),
 	}
-	c.host = net.NewHost(name, hostCfg)
-	c.r2 = r2p2.NewClient(uint32(c.host.Addr()), cfg.Port)
-	c.host.SetHandler(c.onPacket)
+	c.arrive, c.fire = c.arrival, c.fireExpiries
+	nHosts := (cfg.Clients + swarmPortsPerHost - 1) / swarmPortsPerHost
+	for i := 0; i < nHosts; i++ {
+		hostName := name
+		if nHosts > 1 {
+			hostName = fmt.Sprintf("%s-%d", name, i)
+		}
+		h := &clientHost{
+			host:    net.NewHost(hostName, hostCfg),
+			reasm:   r2p2.NewReassembler(cfg.Timeout),
+			pending: make(map[uint32]pendingReq),
+			done:    newRingSet(1 << 16),
+		}
+		h.host.SetHandler(func(pkt *simnet.Packet) { c.onPacket(h, pkt) })
+		c.hosts = append(c.hosts, h)
+	}
 	return c
 }
 
-// Host returns the client's simulated host.
-func (c *Client) Host() *simnet.Host { return c.host }
-
 // Start begins offering load.
 func (c *Client) Start() {
-	if c.cfg.Timeout <= 0 {
-		c.cfg.Timeout = 10 * time.Millisecond
-	}
-	if c.cfg.RetryBackoff <= 0 {
-		c.cfg.RetryBackoff = c.cfg.Timeout
-	}
 	c.scheduleNext()
-	c.sim.After(c.tickEvery(), c.expireTick)
+	c.sim.After(c.cfg.Timeout/2, c.gcTick)
 	if c.cfg.SampleEvery > 0 {
 		c.sim.After(c.cfg.SampleEvery, c.sampleTick)
 	}
 }
 
-// Stop ceases load generation (used by failure experiments).
+// Stop ceases load generation (in-flight retries still drain).
 func (c *Client) Stop() { c.stopped = true }
 
 func (c *Client) end() time.Duration { return c.cfg.Warmup + c.cfg.Duration }
+
+func (c *Client) rate() float64 {
+	if c.cfg.RateFn != nil {
+		if r := c.cfg.RateFn(c.sim.Now()); r > 0 {
+			return r
+		}
+	}
+	return c.cfg.Rate
+}
 
 func (c *Client) scheduleNext() {
 	if c.stopped {
 		return
 	}
 	// Poisson arrivals: exponential interarrival at rate λ.
-	gap := time.Duration(c.rng.ExpFloat64() / c.cfg.Rate * float64(time.Second))
-	c.sim.After(gap, func() {
-		if c.stopped || c.sim.Now() >= c.end() {
-			return
-		}
-		c.sendOne()
-		c.scheduleNext()
-	})
+	gap := time.Duration(c.rng.ExpFloat64() / c.rate() * float64(time.Second))
+	c.sim.After(gap, c.arrive)
+}
+
+func (c *Client) arrival() {
+	if c.stopped || c.sim.Now() >= c.end() {
+		return
+	}
+	c.sendOne()
+	c.scheduleNext()
 }
 
 func (c *Client) sendOne() {
-	req := pendingReq{group: -1, sentAt: c.sim.Now()}
+	h, port := c.hosts[0], c.cfg.Port
+	if c.cfg.Clients > 1 {
+		// Pick the originating endpoint uniformly: exact thinning of the
+		// aggregate Poisson process back into per-client processes.
+		n := c.rng.Intn(c.cfg.Clients)
+		h, port = c.hosts[n/swarmPortsPerHost], c.cfg.Port+uint16(n%swarmPortsPerHost)
+	}
+	req := pendingReq{group: -1}
+	req.id = r2p2.RequestID{SrcIP: uint32(h.host.Addr()), SrcPort: port}
 	if c.cfg.Router != nil {
 		kw, ok := c.cfg.Workload.(KeyedWorkload)
 		if !ok {
 			panic("loadgen: Router configured but Workload is not a KeyedWorkload")
 		}
-		var payload []byte
-		req.key, payload, req.policy = kw.NextKeyed(c.rng)
-		req.raw = payload
+		req.key, req.raw, req.policy = kw.NextKeyed(c.rng)
 		req.group = int(c.cfg.Router.Route(req.key))
 	} else {
 		req.raw, req.policy = c.cfg.Workload.Next(c.rng)
 	}
 	if req.policy == r2p2.PolicyLinRead && len(c.cfg.ReadTargets) > 0 {
 		if c.cfg.Router != nil {
-			// Shard-aware swarms share the router's rotation so reads
+			// Shard-aware clients share the router's rotation so reads
 			// from every client interleave across the replica set.
 			req.readTgt = c.cfg.Router.ReadReplica(len(c.cfg.ReadTargets))
 		} else {
@@ -230,46 +303,48 @@ func (c *Client) sendOne() {
 			c.nextRead++
 		}
 	}
-	req.payload = len(req.raw)
-	req.inMeas = req.sentAt >= c.cfg.Warmup
+	req.inMeas = c.sim.Now() >= c.cfg.Warmup
 	if req.inMeas {
 		c.Sent++
 		if req.group >= 0 {
 			c.shardStat(req.group).Sent++
 		}
 	}
-	c.send(req)
+	c.send(h, req)
 }
 
 // send transmits req (first send or redirect re-send) under a fresh
-// request ID; req.group selects the group stamp on the wire.
-func (c *Client) send(req pendingReq) {
-	id, dgs := c.r2.NewRequest(req.policy, req.raw)
-	req.id = id
+// request ID from h's counter; req.group selects the group stamp on the
+// wire.
+func (c *Client) send(h *clientHost, req pendingReq) {
+	h.nextReq++
+	req.id.ReqID = h.nextReq
 	req.attempt = 1
-	c.cfg.Obs.Stage(id, obs.StageClientSend)
-	c.transmit(req, dgs)
+	c.cfg.Obs.Stage(req.id, obs.StageClientSend)
+	c.transmit(h, req)
 }
 
-// retransmit re-sends req reusing its original request ID — the 3-tuple
-// the server-side dedup cache keys on, so the retried write applies
-// exactly once even if both copies commit (e.g. across a failover).
-func (c *Client) retransmit(req pendingReq) {
+// nextAttempt advances req to its next transmission, which reuses its
+// original request ID — the 3-tuple the server-side dedup cache keys on,
+// so the retried write applies exactly once even if both copies commit
+// (e.g. across a failover). The bump also voids the previous attempt's
+// deadline.
+func (c *Client) nextAttempt(req *pendingReq) {
 	req.attempt++
 	c.Retries++
 	if req.policy == r2p2.PolicyLinRead && len(c.cfg.ReadTargets) > 0 {
 		req.readTgt++ // rotate: the replica that failed us is skipped
 	}
-	if c.cfg.Obs.Active() {
-		c.cfg.Obs.Emitf("client", "retransmit", "id=%v attempt=%d", req.id, req.attempt)
-	}
-	dgs := r2p2.MakeMsg(r2p2.TypeRequest, req.policy, req.id.SrcPort, req.id.ReqID, req.raw, c.r2.MaxPayload)
-	c.transmit(req, dgs)
 }
 
-// transmit stamps, registers, and puts req's datagrams on the wire. The
-// pending deadline is the attempt's backoff delay.
-func (c *Client) transmit(req pendingReq, dgs [][]byte) {
+// transmit stamps, registers, and puts req's datagrams on the wire, and
+// arms the expiry timer for its current attempt.
+func (c *Client) transmit(h *clientHost, req pendingReq) {
+	if req.attempt > 1 && c.cfg.Obs.Active() {
+		c.cfg.Obs.Emitf("client", "retransmit", "id=%v attempt=%d", req.id, req.attempt)
+	}
+	req.sentAt = c.sim.Now()
+	dgs := r2p2.MakeMsg(r2p2.TypeRequest, req.policy, req.id.SrcPort, req.id.ReqID, req.raw, 0)
 	if req.group >= 0 {
 		r2p2.StampGroup(dgs, uint8(req.group))
 	}
@@ -277,9 +352,69 @@ func (c *Client) transmit(req pendingReq, dgs [][]byte) {
 	if req.policy == r2p2.PolicyLinRead && len(c.cfg.ReadTargets) > 0 {
 		dst = c.cfg.ReadTargets[req.readTgt%len(c.cfg.ReadTargets)]
 	}
-	c.pending.Add(req.id.ReqID, req, c.sim.Now()+c.backoff(req.attempt))
+	h.pending[req.id.ReqID] = req
+	c.armExpiry(h, req.id.ReqID, req.attempt)
 	for _, dg := range dgs {
-		c.host.Send(&simnet.Packet{Dst: dst, Payload: dg})
+		h.host.Send(&simnet.Packet{Dst: dst, Payload: dg})
+	}
+}
+
+// armExpiry arms attempt att's deadline: its backoff delay from now.
+func (c *Client) armExpiry(h *clientHost, reqID uint32, att int) {
+	at := c.sim.Now() + c.backoff(att)
+	c.expirySeq++
+	c.expiries.push(expiry{at: at, seq: c.expirySeq, h: h, reqID: reqID, attempt: att})
+	if c.armedAt == 0 || at < c.armedAt {
+		c.armedAt = at
+		c.sim.At(at, c.fire)
+	}
+}
+
+// fireExpiries runs every attempt deadline that has come due, in
+// (deadline, arming) order, then re-arms the simulator timer for the
+// next one. A timer superseded by an earlier deadline still fires, and
+// finds nothing due.
+func (c *Client) fireExpiries() {
+	now := c.sim.Now()
+	if now == c.armedAt {
+		c.armedAt = 0
+	}
+	for len(c.expiries) > 0 && c.expiries[0].at <= now {
+		e := c.expiries.pop()
+		c.expire(e.h, e.reqID, e.attempt)
+	}
+	if len(c.expiries) > 0 && (c.armedAt == 0 || c.expiries[0].at < c.armedAt) {
+		c.armedAt = c.expiries[0].at
+		c.sim.At(c.armedAt, c.fire)
+	}
+}
+
+// expire fires attempt att's deadline: a no-op if the request completed or
+// moved on to a later attempt, else a retransmission while the budget
+// lasts, else the op is lost.
+func (c *Client) expire(h *clientHost, reqID uint32, att int) {
+	req, ok := h.pending[reqID]
+	if !ok || req.attempt != att {
+		return
+	}
+	if req.attempt <= c.cfg.Retries {
+		c.nextAttempt(&req)
+		c.transmit(h, req)
+		return
+	}
+	// Retry budget exhausted (or retries disabled): the op is lost. An
+	// obs event marks it so failure experiments can correlate losses
+	// with the fault timeline.
+	delete(h.pending, reqID)
+	if c.cfg.Obs.Active() {
+		c.cfg.Obs.Emitf("client", "expire", "id=%v attempts=%d", req.id, req.attempt)
+	}
+	c.cfg.Obs.Abandon(req.id)
+	if req.inMeas {
+		c.Expired++
+		if req.group >= 0 {
+			c.shardStat(req.group).Expired++
+		}
 	}
 }
 
@@ -316,15 +451,6 @@ func (c *Client) retryDelay(attempt int, hint time.Duration) time.Duration {
 	return hint + time.Duration(c.rng.Int63n(int64(d)+1))
 }
 
-// tickEvery is the expiry-scan period: half the shortest deadline in use.
-func (c *Client) tickEvery() time.Duration {
-	d := c.cfg.Timeout
-	if c.cfg.Retries > 0 && c.cfg.RetryBackoff < d {
-		d = c.cfg.RetryBackoff
-	}
-	return d / 2
-}
-
 // shardStat returns (growing on demand) the breakdown slot for group g.
 func (c *Client) shardStat(g int) *ShardStat {
 	for len(c.shards) <= g {
@@ -339,23 +465,34 @@ func (c *Client) shardStat(g int) *ShardStat {
 // ShardStats returns the per-group breakdown (nil when unsharded).
 func (c *Client) ShardStats() []*ShardStat { return c.shards }
 
-func (c *Client) onPacket(pkt *simnet.Packet) {
-	m, err := c.reasm.Ingest(pkt.Payload, uint32(pkt.Src), c.sim.Now())
+// take removes reqID's pending entry; an unknown ID that was already
+// answered is a second copy of the response (the cached-reply resend
+// racing the original, or network duplication). Any other unknown ID is
+// a post-expiry response, already counted lost.
+func (c *Client) take(h *clientHost, reqID uint32) (pendingReq, bool) {
+	req, ok := h.pending[reqID]
+	if !ok {
+		if h.done.has(reqID) {
+			c.DupsSuppressed++
+		}
+		return req, false
+	}
+	delete(h.pending, reqID)
+	return req, true
+}
+
+func (c *Client) onPacket(h *clientHost, pkt *simnet.Packet) {
+	m, err := h.reasm.Ingest(pkt.Payload, uint32(pkt.Src), c.sim.Now())
 	if err != nil || m == nil {
 		return
 	}
 	switch m.Type {
 	case r2p2.TypeResponse:
-		req, ok := c.pending.Take(m.ID.ReqID)
+		req, ok := c.take(h, m.ID.ReqID)
 		if !ok {
-			if c.done.has(m.ID.ReqID) {
-				// Second copy of an answered request: the cached-reply
-				// resend racing the original, or network duplication.
-				c.DupsSuppressed++
-			}
-			return // else: post-expiry response, already counted lost
+			return
 		}
-		c.done.add(m.ID.ReqID)
+		h.done.add(m.ID.ReqID)
 		if c.cfg.OnComplete != nil {
 			c.cfg.OnComplete(req.raw)
 		}
@@ -380,11 +517,8 @@ func (c *Client) onPacket(pkt *simnet.Packet) {
 			}
 		}
 	case r2p2.TypeNack:
-		req, ok := c.pending.Take(m.ID.ReqID)
+		req, ok := c.take(h, m.ID.ReqID)
 		if !ok {
-			if c.done.has(m.ID.ReqID) {
-				c.DupsSuppressed++
-			}
 			return
 		}
 		if req.policy == r2p2.PolicyLinRead && len(c.cfg.ReadTargets) > 0 {
@@ -394,39 +528,39 @@ func (c *Client) onPacket(pkt *simnet.Packet) {
 			// replica immediately — no retry-after hint, no jitter sleep.
 			if req.attempt <= c.cfg.Retries {
 				c.ReadRedirects++
-				c.retransmit(req)
+				c.nextAttempt(&req)
+				c.transmit(h, req)
 				return
 			}
 			if req.inMeas {
 				c.Nacked++
 			}
-			c.done.add(m.ID.ReqID)
+			h.done.add(m.ID.ReqID)
 			c.cfg.Obs.Abandon(req.id)
 			return
 		}
-		if m.Group == r2p2.GroupInvalid && c.cfg.Router != nil && !req.redirected {
+		if m.Group == r2p2.GroupInvalid && c.cfg.Router != nil && !req.redirected && c.cfg.Router.OnRedirect() {
 			// The receiver does not serve the group we routed to: our
-			// shard map is stale. Refresh it and re-route the op once,
-			// keeping its original send time (the redirect round trip is
-			// honest latency). The re-send gets a fresh request ID, so
-			// the old one is terminal.
-			if c.cfg.Router.OnRedirect() {
-				// Counted for the whole run, not just the window: redirects
-				// cluster at startup (first stale routes), before warmup ends.
-				c.done.add(m.ID.ReqID)
-				c.Redirected++
-				if req.group >= 0 {
-					c.shardStat(req.group).Redirected++
-				}
-				req.redirected = true
-				req.group = int(c.cfg.Router.Route(req.key))
-				c.send(req)
-				return
+			// shard map was stale and is now refreshed. Re-route the op
+			// once under a fresh request ID, so the old one is terminal
+			// (its trace span too). Counted for the whole run, not just
+			// the window: redirects cluster at startup (first stale
+			// routes), before warmup ends.
+			h.done.add(m.ID.ReqID)
+			c.cfg.Obs.Abandon(req.id)
+			c.Redirected++
+			if req.group >= 0 {
+				c.shardStat(req.group).Redirected++
 			}
+			req.redirected = true
+			req.group = int(c.cfg.Router.Route(req.key))
+			c.send(h, req)
+			return
 		}
 		// Flow-control rejection: the admission middlebox shed the request
 		// before it reached the cluster. Always counted (NackRate is the
-		// rejection rate, not the op-failure rate).
+		// rejection rate, not the op-failure rate: a retried-and-answered
+		// request appears in both Nacked and Completed).
 		if req.inMeas {
 			c.Nacked++
 			if req.group >= 0 {
@@ -438,44 +572,28 @@ func (c *Client) onPacket(pkt *simnet.Packet) {
 			// legacy empty NACK) plus jitter, reusing the request ID so
 			// the server-side dedup cache keeps the op exactly-once even
 			// if an earlier copy was admitted after all.
-			hint := r2p2.NackRetryAfter(m.Payload)
-			req := req
-			c.sim.After(c.retryDelay(req.attempt, hint), func() {
-				c.retransmit(req)
-			})
+			delay := c.retryDelay(req.attempt, r2p2.NackRetryAfter(m.Payload))
+			c.nextAttempt(&req)
+			c.sim.After(delay, func() { c.transmit(h, req) })
 			return
 		}
 		// Terminal: budget exhausted (or retries disabled). Already counted
 		// in Nacked above; LossRate stays post-admission loss only.
-		c.done.add(m.ID.ReqID)
+		h.done.add(m.ID.ReqID)
 		c.cfg.Obs.Abandon(req.id)
 	}
 }
 
-func (c *Client) expireTick() {
-	for _, req := range c.pending.Expire(c.sim.Now()) {
-		if req.attempt <= c.cfg.Retries {
-			c.retransmit(req)
-			continue
-		}
-		// Retry budget exhausted (or retries disabled): the op is lost.
-		// This is the loud version of what used to be a silent drop —
-		// an obs event marks it so failure experiments can correlate
-		// losses with the fault timeline.
-		if c.cfg.Obs.Active() {
-			c.cfg.Obs.Emitf("client", "expire", "id=%v attempts=%d", req.id, req.attempt)
-		}
-		c.cfg.Obs.Abandon(req.id)
-		if req.inMeas {
-			c.Expired++
-			if req.group >= 0 {
-				c.shardStat(req.group).Expired++
-			}
-		}
+// gcTick sweeps the reassemblers' stale partial messages until the run
+// has drained.
+func (c *Client) gcTick() {
+	inFlight := 0
+	for _, h := range c.hosts {
+		h.reasm.GC(c.sim.Now())
+		inFlight += len(h.pending)
 	}
-	c.reasm.GC(c.sim.Now())
-	if c.sim.Now() < c.end()+c.cfg.Timeout || c.pending.Len() > 0 {
-		c.sim.After(c.tickEvery(), c.expireTick)
+	if c.sim.Now() < c.end()+c.cfg.Timeout || inFlight > 0 {
+		c.sim.After(c.cfg.Timeout/2, c.gcTick)
 	}
 }
 
@@ -487,6 +605,18 @@ func (c *Client) sampleTick() {
 	c.intervalHist.Reset()
 	if c.sim.Now() < c.end() {
 		c.sim.After(c.cfg.SampleEvery, c.sampleTick)
+	}
+}
+
+// DiurnalRate returns a time-varying offered load sweeping sinusoidally
+// between low and high once per period — the datacenter diurnal curve
+// compressed to simulation time. The ramp starts at low.
+func DiurnalRate(low, high float64, period time.Duration) func(time.Duration) float64 {
+	mid := (low + high) / 2
+	amp := (high - low) / 2
+	return func(now time.Duration) float64 {
+		phase := 2 * math.Pi * float64(now) / float64(period)
+		return mid - amp*math.Cos(phase)
 	}
 }
 
@@ -575,6 +705,62 @@ func (r *ringSet) add(id uint32) {
 
 func (r *ringSet) has(id uint32) bool { return r.m[id] }
 
+// expiry is one armed attempt deadline; seq orders equal deadlines by
+// arming time.
+type expiry struct {
+	at      time.Duration
+	seq     uint64
+	h       *clientHost
+	reqID   uint32
+	attempt int
+}
+
+// expiryHeap is a binary min-heap of expiries by (at, seq), hand-rolled
+// so pushes do not box through interface{} as container/heap would.
+type expiryHeap []expiry
+
+func (q expiryHeap) less(i, j int) bool {
+	return q[i].at < q[j].at || (q[i].at == q[j].at && q[i].seq < q[j].seq)
+}
+
+func (q *expiryHeap) push(e expiry) {
+	*q = append(*q, e)
+	h := *q
+	for i := len(h) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !h.less(i, p) {
+			break
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func (q *expiryHeap) pop() expiry {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = expiry{}
+	h = h[:n]
+	for i := 0; ; {
+		m, l, r := i, 2*i+1, 2*i+2
+		if l < n && h.less(l, m) {
+			m = l
+		}
+		if r < n && h.less(r, m) {
+			m = r
+		}
+		if m == i {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	*q = h
+	return top
+}
+
 // MergeHistograms merges clients' raw latency histograms into one.
 func MergeHistograms(clients []*Client) *stats.Histogram {
 	h := stats.NewHistogram()
@@ -588,22 +774,4 @@ func MergeHistograms(clients []*Client) *stats.Histogram {
 // fast path or replicated read-only).
 func readClass(p r2p2.Policy) bool {
 	return p == r2p2.PolicyLinRead || p == r2p2.PolicyReplicatedRO
-}
-
-// MergeReadHistograms merges clients' read-class latency histograms.
-func MergeReadHistograms(clients []*Client) *stats.Histogram {
-	h := stats.NewHistogram()
-	for _, c := range clients {
-		h.Merge(c.ReadLatency)
-	}
-	return h
-}
-
-// MergeWriteHistograms merges clients' write-class latency histograms.
-func MergeWriteHistograms(clients []*Client) *stats.Histogram {
-	h := stats.NewHistogram()
-	for _, c := range clients {
-		h.Merge(c.WriteLatency)
-	}
-	return h
 }

@@ -129,6 +129,70 @@ func TestYCSBEWorkload(t *testing.T) {
 	}
 }
 
+func TestParetoDist(t *testing.T) {
+	d := Pareto{Scale: 10 * time.Microsecond, Alpha: 2.5}
+	rng := rand.New(rand.NewSource(6))
+	var sum float64
+	const n = 500000
+	for i := 0; i < n; i++ {
+		v := d.Sample(rng)
+		if v < d.Scale {
+			t.Fatalf("sample %v below scale", v)
+		}
+		sum += float64(v)
+	}
+	mean := sum / n
+	if math.Abs(mean-float64(d.Mean()))/float64(d.Mean()) > 0.05 {
+		t.Fatalf("empirical mean %.0f vs analytic %.0f", mean, float64(d.Mean()))
+	}
+	// Cap truncates the tail.
+	capped := Pareto{Scale: 10 * time.Microsecond, Alpha: 1.1, Cap: time.Millisecond}
+	for i := 0; i < 100000; i++ {
+		if v := capped.Sample(rng); v > time.Millisecond {
+			t.Fatalf("capped sample %v", v)
+		}
+	}
+}
+
+func TestZipfKeyedSkew(t *testing.T) {
+	w := &ZipfKeyed{
+		Inner: &Synthetic{ServiceTime: Fixed(0), ReqSize: 24, ReplySize: 8},
+		Theta: 1.2,
+		Keys:  1 << 16,
+	}
+	rng := rand.New(rand.NewSource(7))
+	counts := map[string]int{}
+	const n = 20000
+	for i := 0; i < n; i++ {
+		key, payload, _ := w.NextKeyed(rng)
+		if len(payload) != 24 {
+			t.Fatalf("payload = %d", len(payload))
+		}
+		counts[string(key)]++
+	}
+	top := 0
+	for _, c := range counts {
+		if c > top {
+			top = c
+		}
+	}
+	// Zipf head: the hottest key alone draws a large share of all load
+	// (uniform over 64k keys would give < 1 expected hit per key).
+	if top < n/10 {
+		t.Fatalf("hottest key drew %d/%d — not skewed", top, n)
+	}
+}
+
+func TestRateFns(t *testing.T) {
+	d := DiurnalRate(1000, 3000, 100*time.Millisecond)
+	if r := d(0); math.Abs(r-1000) > 1 {
+		t.Fatalf("trough = %.0f", r)
+	}
+	if r := d(50 * time.Millisecond); math.Abs(r-3000) > 1 {
+		t.Fatalf("peak = %.0f", r)
+	}
+}
+
 // echoServer wires a trivial responder into simnet for client tests.
 func echoServer(net *simnet.Network) simnet.Addr {
 	h := net.NewHost("server", simnet.DefaultHostConfig())

@@ -2,7 +2,6 @@ package r2p2
 
 import (
 	"encoding/binary"
-	"sort"
 	"time"
 
 	"hovercraft/internal/wire"
@@ -194,58 +193,4 @@ func (c *Client) NewRequest(policy Policy, payload []byte) (RequestID, [][]byte)
 	id := RequestID{SrcIP: c.IP, SrcPort: c.Port, ReqID: c.nextReq}
 	dgs := MakeMsg(TypeRequest, policy, c.Port, c.nextReq, payload, c.MaxPayload)
 	return id, dgs
-}
-
-// Pending tracks outstanding requests with attached caller state, with
-// timeout-based expiry. It is generic so the load generator can attach
-// send timestamps and the UDP client can attach completion channels.
-type Pending[T any] struct {
-	entries map[uint32]pendEntry[T]
-}
-
-type pendEntry[T any] struct {
-	val      T
-	deadline time.Duration
-}
-
-// NewPending returns an empty tracker.
-func NewPending[T any]() *Pending[T] {
-	return &Pending[T]{entries: make(map[uint32]pendEntry[T])}
-}
-
-// Add registers an outstanding request by its ReqID.
-func (p *Pending[T]) Add(reqID uint32, val T, deadline time.Duration) {
-	p.entries[reqID] = pendEntry[T]{val: val, deadline: deadline}
-}
-
-// Take removes and returns the entry for reqID.
-func (p *Pending[T]) Take(reqID uint32) (T, bool) {
-	e, ok := p.entries[reqID]
-	if ok {
-		delete(p.entries, reqID)
-	}
-	return e.val, ok
-}
-
-// Len returns the number of outstanding requests.
-func (p *Pending[T]) Len() int { return len(p.entries) }
-
-// Expire removes and returns all entries whose deadline has passed, in
-// ascending ReqID order. The order matters: expiry can trigger
-// retransmissions, and those sends must be deterministic for the
-// simulator's same-seed replay guarantee — never map iteration order.
-func (p *Pending[T]) Expire(now time.Duration) []T {
-	var ids []uint32
-	for id, e := range p.entries {
-		if now >= e.deadline {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	out := make([]T, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, p.entries[id].val)
-		delete(p.entries, id)
-	}
-	return out
 }

@@ -302,33 +302,6 @@ func TestFeedbackAndNack(t *testing.T) {
 	}
 }
 
-func TestPendingTracker(t *testing.T) {
-	p := NewPending[string]()
-	p.Add(1, "a", 100*time.Millisecond)
-	p.Add(2, "b", 200*time.Millisecond)
-	if p.Len() != 2 {
-		t.Fatalf("len = %d", p.Len())
-	}
-	v, ok := p.Take(1)
-	if !ok || v != "a" {
-		t.Fatalf("take = %q %v", v, ok)
-	}
-	if _, ok := p.Take(1); ok {
-		t.Fatal("double take")
-	}
-	exp := p.Expire(150 * time.Millisecond)
-	if len(exp) != 0 {
-		t.Fatalf("expired early: %v", exp)
-	}
-	exp = p.Expire(250 * time.Millisecond)
-	if len(exp) != 1 || exp[0] != "b" {
-		t.Fatalf("expire = %v", exp)
-	}
-	if p.Len() != 0 {
-		t.Fatal("tracker not empty")
-	}
-}
-
 func TestStringers(t *testing.T) {
 	for _, tc := range []struct {
 		got, want string

@@ -38,7 +38,7 @@ func TestFingerprintsPinned(t *testing.T) {
 		{"read-lease", 0x7bdc45ff637e4aa4, func() (uint64, error) {
 			return readChaosRun(9000, sched(9000))
 		}},
-		{"overload", 0x976bdb963577e502, func() (uint64, error) {
+		{"overload", 0x4d53c4ccc2846c96, func() (uint64, error) {
 			return overloadChaosRun(12000, sched(12000))
 		}},
 		{"sharded", 0xacb2727bd6298fa1, func() (uint64, error) {

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"hovercraft/internal/loadgen"
+	"hovercraft/internal/obs"
 	"hovercraft/internal/shard"
 	"hovercraft/internal/simnet"
 )
@@ -90,7 +91,10 @@ func TestMultiClusterStaleMapRedirect(t *testing.T) {
 	// The client boots with a map for 4 groups; the deployment serves 2.
 	// Requests hashed to groups 2..3 must come back as GroupInvalid NACKs,
 	// the router must refresh, and the retried ops must complete.
-	c := New(Options{Setup: SetupHovercraft, Groups: 2, Nodes: 6, Replication: 3, Seed: 12})
+	// The tracer checks that each redirected op's first request ID, which
+	// is terminal after the NACK, gives up its trace span.
+	tracer := obs.New()
+	c := New(Options{Setup: SetupHovercraft, Groups: 2, Nodes: 6, Replication: 3, Seed: 12, Obs: tracer})
 	stale := shard.NewMapVersion(4, 1)
 	fresh := shard.NewMapVersion(2, 2)
 	router := shard.NewRouter(stale, func(uint64) *shard.Map { return fresh })
@@ -101,7 +105,7 @@ func TestMultiClusterStaleMapRedirect(t *testing.T) {
 			Rate: 50_000, Warmup: warm, Duration: dur,
 			Timeout: 50 * time.Millisecond, Workload: multiSynth(4096),
 			Target: c.ServiceAddr, Port: 1000,
-			Router: router,
+			Router: router, Obs: tracer,
 		})
 	c.Start()
 	cl.Start()
@@ -122,5 +126,8 @@ func TestMultiClusterStaleMapRedirect(t *testing.T) {
 	}
 	if cl.Redirected == 0 {
 		t.Fatal("no redirected ops recorded")
+	}
+	if n := tracer.Pending(); n != 0 {
+		t.Fatalf("%d trace spans still open after the drain", n)
 	}
 }

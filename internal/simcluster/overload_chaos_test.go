@@ -84,7 +84,7 @@ func overloadChaosRun(seed int64, sched fault.Schedule) (uint64, error) {
 	// ~1.5× the 10µs-write capacity: enough sustained pressure that the
 	// middlebox sheds continuously, on top of whatever the faults break.
 	acked := make(map[string]bool)
-	sw := loadgen.NewSwarm(c.Net, "swarm", simnet.DefaultHostConfig(), loadgen.SwarmConfig{
+	sw := loadgen.NewClient(c.Net, "swarm", simnet.DefaultHostConfig(), loadgen.ClientConfig{
 		Clients: 4096, Rate: 150_000,
 		Warmup: 0, Duration: horizon,
 		Timeout: 5 * time.Millisecond, Retries: 4, RetryBackoff: time.Millisecond,

@@ -79,7 +79,11 @@ echo "$snap" | grep -q '"slo_burn"' || fail "hovertop: no SLO burn field"
 echo "ok: hovertop aggregated 3 nodes into one cluster view"
 
 echo "== hovertop dashboard render"
-"$WORK/hovertop" -targets "$TARGETS" -once | grep -q '3/3 nodes up' ||
+# Capture, then grep: piping into `grep -q` would close hovertop's
+# stdout at the first match, and under pipefail the resulting EPIPE
+# reads as a failure.
+dash=$("$WORK/hovertop" -targets "$TARGETS" -once) || fail "hovertop -once failed"
+echo "$dash" | grep -q '3/3 nodes up' ||
     fail "hovertop dashboard did not show the fleet"
 
 echo "PASS: telemetry smoke"
